@@ -82,6 +82,32 @@ void WriteShipLatencyJson(const ClusterReport::ShipLatency& s,
 
 }  // namespace
 
+WorkerCounters CountersFromSnapshot(const telemetry::MetricsSnapshot& snap) {
+  const auto count = [&snap](const char* name) -> uint64_t {
+    const auto it = snap.counters.find(name);
+    return it == snap.counters.end() ? 0 : it->second;
+  };
+  WorkerCounters c;
+  c.generated = count("cluster.tuples_generated");
+  c.processed = count("cluster.tuples_processed");
+  c.emitted = count("cluster.tuples_emitted");
+  c.delivered = count("cluster.tuples_delivered");
+  c.shipped = count("cluster.tuples_shipped");
+  c.received = count("cluster.tuples_received");
+  c.ship_failures = count("cluster.ship_failures");
+  c.lost_tuples = count("cluster.tuples_lost");
+  c.paused_buffered = count("cluster.tuples_paused_buffered");
+  const auto busy = snap.gauges.find("cluster.busy_seconds");
+  if (busy != snap.gauges.end()) c.busy_seconds = busy->second;
+  const auto sink = snap.histograms.find("cluster.sink_latency_seconds");
+  if (sink != snap.histograms.end()) {
+    c.latency_sum = sink->second.sum;
+    c.latency_max = sink->second.max;
+    c.latency_count = sink->second.count;
+  }
+  return c;
+}
+
 Coordinator::Coordinator(query::QueryGraph graph, CoordinatorOptions options)
     : graph_(std::move(graph)), options_(std::move(options)) {
   // Register the coordinator's cluster.* families at zero so /metrics
@@ -430,7 +456,6 @@ void Coordinator::HandleHeartbeat(const HeartbeatMsg& hb) {
   WorkerState& worker = workers_[hb.worker_id];
   worker.last_heartbeat = Now();
   worker.plan_version = hb.plan_version;
-  worker.counters = hb.counters;
   telemetry_.Count("cluster.heartbeats_received", 1);
 
   // Surface the per-operator load report as live coordinator gauges
@@ -449,13 +474,11 @@ void Coordinator::HandleHeartbeat(const HeartbeatMsg& hb) {
     o.plan_version = hb.plan_version;
     o.last_seen_us = telemetry_.NowMicros();
     o.queue_depth = hb.queue_depth;
-    o.counters = hb.counters;
     o.loads = hb.loads;
   }
 }
 
 void Coordinator::HandleStatsReport(const StatsReportMsg& report) {
-  telemetry_.Count("cluster.stats_reports_received", 1);
   std::lock_guard<std::mutex> lock(obs_mu_);
   if (report.worker_id >= obs_.size()) return;
   WorkerObs& o = obs_[report.worker_id];
@@ -476,7 +499,6 @@ void Coordinator::HandleStatsReport(const StatsReportMsg& report) {
     snap.buckets = h.buckets;
     o.merged.histograms[h.name] = std::move(snap);
   }
-  o.have_stats = true;
 }
 
 void Coordinator::HandleFrozenReport(const FrozenReportMsg& report) {
@@ -505,7 +527,9 @@ void Coordinator::HandleAsyncFrame(uint32_t worker, const Frame& frame) {
     }
     case MsgType::kStatsReport: {
       auto report = StatsReportMsg::Decode(frame.payload);
-      if (report.ok()) HandleStatsReport(*report);
+      if (!report.ok()) break;
+      telemetry_.Count("cluster.stats_reports_received", 1);
+      HandleStatsReport(*report);
       break;
     }
     case MsgType::kFrozenReport: {
@@ -716,9 +740,9 @@ Status Coordinator::Finish() {
     if (!worker.conn.Send(MsgType::kFinish, "").ok()) continue;
     Frame frame;
     if (!AwaitFrame(i, MsgType::kFinalStats, &frame).ok()) continue;
-    auto stats = FinalStatsMsg::Decode(frame.payload);
+    auto stats = StatsReportMsg::Decode(frame.payload);
     if (!stats.ok()) continue;
-    worker.counters = stats->counters;
+    HandleStatsReport(*stats);
     worker.have_final = true;
     telemetry_.Count("cluster.final_stats_collected", 1);
   }
@@ -730,35 +754,32 @@ Status Coordinator::Finish() {
   }
   report_.run_seconds = Now();
 
+  // Every figure comes from the federated registries: a survivor's ends
+  // with its kFinalStats delta, a dead worker's with its last report.
+  // Merging every worker's offset-corrected receive-side ship latency
+  // histogram gives the cluster distribution on the coordinator clock.
   report_.totals = WorkerCounters{};
   report_.workers.clear();
-  for (uint32_t i = 0; i < workers_.size(); ++i) {
-    const WorkerState& worker = workers_[i];
-    AddCounters(report_.totals, worker.counters);
-    ClusterReport::WorkerSummary summary;
-    summary.worker_id = i;
-    summary.name = worker.name;
-    summary.alive = worker.alive;
-    summary.final_stats = worker.have_final;
-    summary.counters = worker.counters;
-    if (i < clock_sync_.size() && clock_sync_[i].has_estimate()) {
-      summary.clock_synced = true;
-      summary.clock_offset_us = clock_sync_[i].offset_us();
-      summary.clock_rtt_us = clock_sync_[i].rtt_us();
-    }
-    report_.workers.push_back(std::move(summary));
-  }
-
-  // Cluster-wide inter-worker ship latency: every worker records its
-  // offset-corrected receive-side histogram and federates it via
-  // kStatsReport; merging the per-worker snapshots gives the cluster
-  // distribution on the coordinator clock.
   telemetry::HistogramSnapshot ship;
   {
     std::lock_guard<std::mutex> lock(obs_mu_);
-    for (const WorkerObs& o : obs_) {
-      const auto it = o.merged.histograms.find("cluster.ship_latency_us");
-      if (it != o.merged.histograms.end()) {
+    for (uint32_t i = 0; i < workers_.size(); ++i) {
+      const telemetry::MetricsSnapshot& merged = obs_[i].merged;
+      ClusterReport::WorkerSummary summary;
+      summary.worker_id = i;
+      summary.name = workers_[i].name;
+      summary.alive = workers_[i].alive;
+      summary.final_stats = workers_[i].have_final;
+      summary.counters = CountersFromSnapshot(merged);
+      AddCounters(report_.totals, summary.counters);
+      if (clock_sync_[i].has_estimate()) {
+        summary.clock_synced = true;
+        summary.clock_offset_us = clock_sync_[i].offset_us();
+        summary.clock_rtt_us = clock_sync_[i].rtt_us();
+      }
+      report_.workers.push_back(std::move(summary));
+      const auto it = merged.histograms.find("cluster.ship_latency_us");
+      if (it != merged.histograms.end()) {
         telemetry::MergeHistogramInto(ship, it->second);
       }
     }
@@ -928,7 +949,7 @@ void Coordinator::WriteClusterSummaryJson(std::ostream& out) const {
       w.Key("rtt_us").Double(o.clock_rtt_us);
       w.EndObject();
       w.Key("counters");
-      WriteCountersJson(o.counters, w);
+      WriteCountersJson(CountersFromSnapshot(o.merged), w);
       w.Key("loads").BeginArray();
       for (const HeartbeatMsg::OpLoad& load : o.loads) {
         w.BeginObjectInline();

@@ -98,6 +98,30 @@ struct CoordinatorOptions {
   std::string trace_path;
 };
 
+/// One worker's accounting, cumulative since kStart, as read from its
+/// federated metric registry (see CountersFromSnapshot).
+struct WorkerCounters {
+  uint64_t generated = 0;        ///< Source tuples this worker emitted.
+  uint64_t processed = 0;        ///< Tuples run through hosted operators.
+  uint64_t emitted = 0;          ///< Tuples produced by hosted operators.
+  uint64_t delivered = 0;        ///< Sink outputs (reached applications).
+  uint64_t shipped = 0;          ///< Tuples sent to peer workers.
+  uint64_t received = 0;         ///< Tuples received from peer workers.
+  uint64_t ship_failures = 0;    ///< Batches that failed to reach a peer.
+  uint64_t lost_tuples = 0;      ///< Failed ships + paused-buffer overflow.
+  uint64_t paused_buffered = 0;  ///< Tuples buffered against paused ops.
+  double busy_seconds = 0.0;     ///< Modeled CPU-seconds consumed.
+  double latency_sum = 0.0;      ///< Sum of sink latencies (seconds).
+  double latency_max = 0.0;
+  uint64_t latency_count = 0;
+};
+
+/// Reads a worker's WorkerCounters out of its registry snapshot: the
+/// cluster.tuples_* and cluster.ship_failures counters, the
+/// cluster.busy_seconds gauge, and the cluster.sink_latency_seconds
+/// histogram. Missing families read as zero.
+WorkerCounters CountersFromSnapshot(const telemetry::MetricsSnapshot& snap);
+
 /// End-of-run summary: aggregate counters, the shipped plan's history,
 /// and the first incident (when a worker died mid-run).
 struct ClusterReport {
@@ -110,13 +134,14 @@ struct ClusterReport {
   /// kStart broadcast to final-stats collection (seconds).
   double run_seconds = 0.0;
 
-  WorkerCounters totals;  ///< Sum over all workers (last known state
-                          ///< for workers that died).
+  WorkerCounters totals;  ///< Sum over all workers (last federated
+                          ///< state for workers that died).
   struct WorkerSummary {
     uint32_t worker_id = 0;
     std::string name;
     bool alive = true;
-    bool final_stats = false;  ///< Counters are end-of-run, not last HB.
+    bool final_stats = false;  ///< Counters include the kFinalStats
+                               ///< delta, not just the last report.
     WorkerCounters counters;
     /// Final clock estimate (worker + offset = coordinator clock).
     bool clock_synced = false;
@@ -201,7 +226,6 @@ class Coordinator {
     bool conn_ok = true;        ///< Control channel still readable.
     double last_heartbeat = 0.0;
     uint64_t plan_version = 0;
-    WorkerCounters counters;    ///< Latest heartbeat's block.
     bool have_final = false;
   };
 
@@ -216,17 +240,16 @@ class Coordinator {
     uint64_t plan_version = 0;
     double last_seen_us = -1.0;  ///< Coordinator telemetry clock.
     size_t queue_depth = 0;
-    WorkerCounters counters;
     std::vector<HeartbeatMsg::OpLoad> loads;
     /// Latest clock estimate (worker + offset = coordinator clock).
     bool clock_synced = false;
     double clock_offset_us = 0.0;
     double clock_rtt_us = 0.0;
-    /// Merged kStatsReport deltas: the worker's metric registry as the
-    /// coordinator last saw it (values are cumulative, so overwrite-
-    /// merge per family reconstructs the full remote snapshot).
+    /// Merged kStatsReport / kFinalStats deltas: the worker's metric
+    /// registry as the coordinator last saw it (values are cumulative,
+    /// so overwrite-merge per family reconstructs the full remote
+    /// snapshot). The report's and /cluster.json's counters read it.
     telemetry::MetricsSnapshot merged;
-    bool have_stats = false;
   };
 
   double Now() const;  ///< Seconds since kStart (0 before).

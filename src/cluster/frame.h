@@ -53,7 +53,8 @@ enum class MsgType : uint8_t {
   kPlanDiff = 10,  ///< coordinator -> worker: operator moves to apply.
   kResume = 11,    ///< coordinator -> worker: resume after a plan diff.
   kFinish = 12,    ///< coordinator -> worker: stop sources, drain, report.
-  kFinalStats = 13,///< worker -> coordinator: end-of-run counters.
+  kFinalStats = 13,///< worker -> coordinator: final registry delta
+                   ///< (a StatsReportMsg payload).
   kShutdown = 14,  ///< coordinator -> worker: exit.
   kPing = 15,      ///< coordinator -> worker: clock-sync probe (t1).
   kPong = 16,      ///< worker -> coordinator: probe echo (t1, t2, t3).
@@ -72,7 +73,10 @@ inline constexpr uint8_t kMaxMsgType =
 const char* MsgTypeName(MsgType type);
 
 inline constexpr uint32_t kFrameMagic = 0x43444F52u;  // "RODC" (LE bytes).
-inline constexpr uint8_t kFrameVersion = 1;
+/// Bumped on every payload layout change, so a peer on another version
+/// is rejected as protocol skew (2: kHeartbeat without counters,
+/// kFinalStats as a StatsReportMsg).
+inline constexpr uint8_t kFrameVersion = 2;
 inline constexpr size_t kFrameHeaderBytes = 20;
 
 /// Default cap on one frame's payload. Control messages are tiny; the

@@ -298,40 +298,6 @@ Result<StartMsg> StartMsg::Decode(std::string_view payload) {
   return m;
 }
 
-void WorkerCounters::EncodeInto(WireWriter& w) const {
-  w.U64(generated);
-  w.U64(processed);
-  w.U64(emitted);
-  w.U64(delivered);
-  w.U64(shipped);
-  w.U64(received);
-  w.U64(ship_failures);
-  w.U64(lost_tuples);
-  w.U64(paused_buffered);
-  w.F64(busy_seconds);
-  w.F64(latency_sum);
-  w.F64(latency_max);
-  w.U64(latency_count);
-}
-
-WorkerCounters WorkerCounters::DecodeFrom(WireReader& r) {
-  WorkerCounters c;
-  c.generated = r.U64();
-  c.processed = r.U64();
-  c.emitted = r.U64();
-  c.delivered = r.U64();
-  c.shipped = r.U64();
-  c.received = r.U64();
-  c.ship_failures = r.U64();
-  c.lost_tuples = r.U64();
-  c.paused_buffered = r.U64();
-  c.busy_seconds = r.F64();
-  c.latency_sum = r.F64();
-  c.latency_max = r.F64();
-  c.latency_count = r.U64();
-  return c;
-}
-
 std::string HeartbeatMsg::Encode() const {
   WireWriter w;
   w.U32(worker_id);
@@ -339,7 +305,6 @@ std::string HeartbeatMsg::Encode() const {
   w.F64(uptime_seconds);
   w.U64(plan_version);
   w.U64(static_cast<uint64_t>(queue_depth));
-  counters.EncodeInto(w);
   w.U32(static_cast<uint32_t>(loads.size()));
   for (const OpLoad& load : loads) {
     w.U32(load.op);
@@ -357,7 +322,6 @@ Result<HeartbeatMsg> HeartbeatMsg::Decode(std::string_view payload) {
   m.uptime_seconds = r.F64();
   m.plan_version = r.U64();
   m.queue_depth = static_cast<size_t>(r.U64());
-  m.counters = WorkerCounters::DecodeFrom(r);
   const uint32_t num_loads = r.U32();
   if (!r.ok() || num_loads > kMaxWireCount) {
     return Status::InvalidArgument("heartbeat: bad load count");
@@ -623,22 +587,6 @@ Result<FrozenReportMsg> FrozenReportMsg::Decode(std::string_view payload) {
   m.worker_id = r.U32();
   m.incident_json = r.Str();
   ROD_RETURN_IF_ERROR(FinishDecode(r, "frozen_report"));
-  return m;
-}
-
-std::string FinalStatsMsg::Encode() const {
-  WireWriter w;
-  w.U32(worker_id);
-  counters.EncodeInto(w);
-  return w.Take();
-}
-
-Result<FinalStatsMsg> FinalStatsMsg::Decode(std::string_view payload) {
-  WireReader r(payload);
-  FinalStatsMsg m;
-  m.worker_id = r.U32();
-  m.counters = WorkerCounters::DecodeFrom(r);
-  ROD_RETURN_IF_ERROR(FinishDecode(r, "final_stats"));
   return m;
 }
 

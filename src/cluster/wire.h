@@ -143,26 +143,6 @@ struct StartMsg {
   static Result<StartMsg> Decode(std::string_view payload);
 };
 
-/// End-of-run / heartbeat counter block, all cumulative since kStart.
-struct WorkerCounters {
-  uint64_t generated = 0;        ///< Source tuples this worker emitted.
-  uint64_t processed = 0;        ///< Tuples run through hosted operators.
-  uint64_t emitted = 0;          ///< Tuples produced by hosted operators.
-  uint64_t delivered = 0;        ///< Sink outputs (reached applications).
-  uint64_t shipped = 0;          ///< Tuples sent to peer workers.
-  uint64_t received = 0;         ///< Tuples received from peer workers.
-  uint64_t ship_failures = 0;    ///< Batches that failed to reach a peer.
-  uint64_t lost_tuples = 0;      ///< Tuples in failed ships (kUnavailable).
-  uint64_t paused_buffered = 0;  ///< Tuples buffered against paused ops.
-  double busy_seconds = 0.0;     ///< Modeled CPU-seconds consumed.
-  double latency_sum = 0.0;      ///< Sum of sink latencies (seconds).
-  double latency_max = 0.0;
-  uint64_t latency_count = 0;
-
-  void EncodeInto(WireWriter& w) const;
-  static WorkerCounters DecodeFrom(WireReader& r);
-};
-
 /// worker -> coordinator liveness + load report.
 struct HeartbeatMsg {
   uint32_t worker_id = 0;
@@ -170,7 +150,6 @@ struct HeartbeatMsg {
   double uptime_seconds = 0.0;   ///< Since this worker's kStart.
   uint64_t plan_version = 0;     ///< Routing version it executes.
   size_t queue_depth = 0;        ///< Batches waiting in its loop.
-  WorkerCounters counters;
   /// Per hosted operator: cumulative tuples processed and modeled busy
   /// CPU-seconds — the coordinator's live load estimate per operator.
   struct OpLoad {
@@ -229,15 +208,6 @@ struct PlanDiffMsg {
   static Result<PlanDiffMsg> Decode(std::string_view payload);
 };
 
-/// worker -> coordinator final counters (same block as heartbeats).
-struct FinalStatsMsg {
-  uint32_t worker_id = 0;
-  WorkerCounters counters;
-
-  std::string Encode() const;
-  static Result<FinalStatsMsg> Decode(std::string_view payload);
-};
-
 /// coordinator -> worker clock-sync probe. `t1_us` is the coordinator's
 /// telemetry clock at send; the worker echoes it back untouched.
 struct PingMsg {
@@ -263,9 +233,10 @@ struct PongMsg {
 };
 
 /// worker -> coordinator: the delta of this worker's metric registry
-/// since its previous report (piggybacked on the heartbeat cadence).
-/// Values are cumulative — the coordinator merges by overwrite, so a
-/// lost report self-heals on the next one.
+/// since its previous report — kStatsReport on the heartbeat cadence,
+/// and once more as the kFinalStats reply to kFinish (sent even when
+/// empty). Values are cumulative — the coordinator merges by overwrite,
+/// so a lost report self-heals on the next one.
 struct StatsReportMsg {
   struct HistogramState {
     std::string name;

@@ -252,8 +252,7 @@ Status Worker::HandleControlFrame(const Frame& frame) {
     }
     case MsgType::kFinish: {
       generating_ = false;
-      FinalStatsMsg stats{worker_id_, counters_};
-      return control_.Send(MsgType::kFinalStats, stats.Encode());
+      return control_.Send(MsgType::kFinalStats, TakeStatsDelta().Encode());
     }
     case MsgType::kPing: {
       const double t2 = telemetry_.NowMicros();
@@ -327,7 +326,8 @@ Status Worker::InstallPlan(const PlanMsg& plan) {
        {"cluster.tuples_generated", "cluster.tuples_processed",
         "cluster.tuples_emitted", "cluster.tuples_delivered",
         "cluster.tuples_shipped", "cluster.tuples_received",
-        "cluster.tuples_lost", "cluster.ship_failures",
+        "cluster.tuples_lost", "cluster.tuples_paused_buffered",
+        "cluster.ship_failures",
         "cluster.batches_received", "cluster.heartbeats_sent",
         "cluster.plan_installs", "cluster.operator_moves",
         "cluster.pauses", "cluster.resumes"}) {
@@ -339,9 +339,13 @@ Status Worker::InstallPlan(const PlanMsg& plan) {
   telemetry_.SetGauge("cluster.hosted_operators",
                       static_cast<double>(hosted));
   telemetry_.SetGauge("cluster.worker_id", static_cast<double>(worker_id_));
+  telemetry_.SetGauge("cluster.busy_seconds", busy_seconds_);
   // Offset-corrected inter-worker ship latency (microseconds), recorded
   // on the receive path once clock sync has distributed offsets.
   ship_latency_ = telemetry_.histogram("cluster.ship_latency_us");
+  // Run-clock source-to-sink latency, one record per delivered batch
+  // weighted by its tuple count.
+  sink_latency_ = telemetry_.histogram("cluster.sink_latency_seconds");
   ready_.store(true);
 
   PlanAckMsg ack{plan.version, worker_id_};
@@ -372,7 +376,6 @@ void Worker::HandleDataFrame(const Frame& frame) {
   const double recv_us = telemetry_.NowMicros();
   auto batch = TupleBatchMsg::Decode(frame.payload);
   if (!batch.ok()) return;  // Corrupt batch: drop (CRC already vetted).
-  counters_.received += batch->count;
   telemetry_.Count("cluster.tuples_received", batch->count);
   telemetry_.Count("cluster.batches_received", 1);
   // End-to-end ship latency on the coordinator clock: both sides' local
@@ -394,11 +397,11 @@ void Worker::Dispatch(uint32_t op, uint32_t port, uint32_t count,
   if (count == 0 || op >= assignment_.size()) return;
   if (paused_[op] != 0) {
     if (paused_buffers_.size() >= kMaxPausedBatches) {
-      counters_.lost_tuples += paused_buffers_.front().count;
+      CountLoss(paused_buffers_.front().count, /*ship_failure=*/false);
       paused_buffers_.erase(paused_buffers_.begin());
     }
     paused_buffers_.push_back({op, port, count, create_time});
-    counters_.paused_buffered += count;
+    telemetry_.Count("cluster.tuples_paused_buffered", count);
     return;
   }
   if (assignment_[op] == worker_id_) {
@@ -421,12 +424,12 @@ void Worker::ProcessLocal(uint32_t op, uint32_t count, double create_time) {
     stack.pop_back();
     const sim::CompiledOp& compiled = deployment_.ops[work.op];
 
-    counters_.processed += work.count;
     op_processed_[work.op] += work.count;
     const double busy = compiled.cost * work.count;
     op_busy_[work.op] += busy;
-    counters_.busy_seconds += busy;
+    busy_seconds_ += busy;
     telemetry_.Count("cluster.tuples_processed", work.count);
+    telemetry_.SetGauge("cluster.busy_seconds", busy_seconds_);
 
     // Fractional emission carry keeps long-run output rates equal to
     // count * selectivity without per-tuple randomness.
@@ -436,16 +439,11 @@ void Worker::ProcessLocal(uint32_t op, uint32_t count, double create_time) {
         static_cast<uint32_t>(std::floor(emit_carry_[work.op]));
     emit_carry_[work.op] -= out;
     if (out == 0) continue;
-    counters_.emitted += out;
     telemetry_.Count("cluster.tuples_emitted", out);
 
     if (compiled.consumers.empty()) {
-      counters_.delivered += out;
-      const double latency = std::max(0.0, Now() - work.create_time);
-      counters_.latency_sum += latency * out;
-      counters_.latency_max = std::max(counters_.latency_max, latency);
-      counters_.latency_count += out;
       telemetry_.Count("cluster.tuples_delivered", out);
+      sink_latency_.Record(std::max(0.0, Now() - work.create_time), out);
       continue;
     }
     for (const sim::Route& route : compiled.consumers) {
@@ -462,53 +460,34 @@ void Worker::ProcessLocal(uint32_t op, uint32_t count, double create_time) {
 
 void Worker::ShipTo(uint32_t peer_id, uint32_t op, uint32_t port,
                     uint32_t count, double create_time) {
-  auto it = peers_.find(peer_id);
-  if (it == peers_.end()) {
-    counters_.ship_failures += 1;
-    counters_.lost_tuples += count;
-    telemetry_.Count("cluster.ship_failures", 1);
-    telemetry_.Count("cluster.tuples_lost", count);
-    return;
-  }
-  Peer& peer = it->second;
+  const auto it = peers_.find(peer_id);
   const double now = Now();
-  auto fail = [&] {
-    peer.conn.Close();
-    peer.down_until = now + options_.peer_retry_cooldown;
-    counters_.ship_failures += 1;
-    counters_.lost_tuples += count;
-    telemetry_.Count("cluster.ship_failures", 1);
-    telemetry_.Count("cluster.tuples_lost", count);
-  };
-  if (peer.down_until > now) {
-    counters_.ship_failures += 1;
-    counters_.lost_tuples += count;
-    telemetry_.Count("cluster.ship_failures", 1);
-    telemetry_.Count("cluster.tuples_lost", count);
-    return;
-  }
-  if (!peer.conn.valid()) {
-    auto conn = FrameConn::DialLoopback(peer.data_port, kDataTimeout);
-    if (!conn.ok()) {
-      fail();
+  // A peer that failed is parked for the cooldown, not redialed per batch.
+  if (it != peers_.end() && it->second.down_until <= now) {
+    Peer& peer = it->second;
+    if (!peer.conn.valid()) {
+      auto conn = FrameConn::DialLoopback(peer.data_port, kDataTimeout);
+      if (conn.ok()) {
+        peer.conn = std::move(conn.value());
+        peer.conn.set_metrics(&frame_metrics_);
+      }
+    }
+    const TupleBatchMsg batch{op, port, count, worker_id_, create_time,
+                              telemetry_.NowMicros()};
+    if (peer.conn.valid() &&
+        peer.conn.Send(MsgType::kTuples, batch.Encode()).ok()) {
+      telemetry_.Count("cluster.tuples_shipped", count);
       return;
     }
-    peer.conn = std::move(conn.value());
-    peer.conn.set_metrics(&frame_metrics_);
+    peer.conn.Close();
+    peer.down_until = now + options_.peer_retry_cooldown;
   }
-  TupleBatchMsg batch;
-  batch.to_op = op;
-  batch.to_port = port;
-  batch.count = count;
-  batch.from_worker = worker_id_;
-  batch.create_time = create_time;
-  batch.send_time_us = telemetry_.NowMicros();
-  if (!peer.conn.Send(MsgType::kTuples, batch.Encode()).ok()) {
-    fail();
-    return;
-  }
-  counters_.shipped += count;
-  telemetry_.Count("cluster.tuples_shipped", count);
+  CountLoss(count, /*ship_failure=*/true);
+}
+
+void Worker::CountLoss(uint32_t count, bool ship_failure) {
+  if (ship_failure) telemetry_.Count("cluster.ship_failures", 1);
+  telemetry_.Count("cluster.tuples_lost", count);
 }
 
 void Worker::FlushPausedBuffers() {
@@ -531,7 +510,6 @@ void Worker::GenerateSources(double now, double dt) {
     const uint32_t n = static_cast<uint32_t>(std::floor(gen_carry_[s]));
     gen_carry_[s] -= n;
     if (n == 0) continue;
-    counters_.generated += n;
     telemetry_.Count("cluster.tuples_generated", n);
     for (const sim::Route& route : deployment_.input_routes[s]) {
       Dispatch(route.to_op, route.to_port, n, now);
@@ -546,27 +524,29 @@ void Worker::SendHeartbeat(double now) {
   hb.uptime_seconds = now;
   hb.plan_version = plan_version_;
   hb.queue_depth = paused_buffers_.size();
-  hb.counters = counters_;
   for (size_t j = 0; j < assignment_.size(); ++j) {
     if (assignment_[j] != worker_id_ || op_processed_[j] == 0) continue;
     hb.loads.push_back({static_cast<uint32_t>(j), op_processed_[j],
                         op_busy_[j]});
   }
-  // A failed heartbeat send means the coordinator is gone; the control
-  // read in the event loop will surface the error and exit the worker.
+  // A failed send means the coordinator is gone; the control read in the
+  // event loop will surface the error and exit the worker.
   (void)control_.Send(MsgType::kHeartbeat, hb.Encode());
   telemetry_.Count("cluster.heartbeats_sent", 1);
-  SendStatsReport();
+  // The registry delta rides the same cadence (never empty: the
+  // heartbeat counter just moved).
+  (void)control_.Send(MsgType::kStatsReport, TakeStatsDelta().Encode());
+  telemetry_.Count("cluster.stats_reports_sent", 1);
 }
 
-void Worker::SendStatsReport() {
+StatsReportMsg Worker::TakeStatsDelta() {
   const telemetry::MetricsSnapshot snap = telemetry_.Snapshot();
   StatsReportMsg report;
   report.worker_id = worker_id_;
   for (const auto& [name, value] : snap.counters) {
-    auto it = reported_counters_.find(name);
-    if (it != reported_counters_.end() && it->second == value) continue;
-    reported_counters_[name] = value;
+    auto it = reported_counter_values_.find(name);
+    if (it != reported_counter_values_.end() && it->second == value) continue;
+    reported_counter_values_[name] = value;
     report.counters.emplace_back(name, value);
   }
   for (const auto& [name, value] : snap.gauges) {
@@ -588,12 +568,7 @@ void Worker::SendStatsReport() {
     state.buckets = h.buckets;
     report.histograms.push_back(std::move(state));
   }
-  if (report.counters.empty() && report.gauges.empty() &&
-      report.histograms.empty()) {
-    return;  // Nothing changed since the last report.
-  }
-  (void)control_.Send(MsgType::kStatsReport, report.Encode());
-  telemetry_.Count("cluster.stats_reports_sent", 1);
+  return report;
 }
 
 void Worker::InstallClockSync(const ClockSyncMsg& sync) {

@@ -91,7 +91,9 @@ class Worker {
   /// Introspection (valid after Run() returned, or racily during).
   uint32_t worker_id() const { return worker_id_; }
   uint16_t http_port() const { return http_port_; }
-  const WorkerCounters& counters() const { return counters_; }
+  /// The metric registry: the only record of this worker's accounting
+  /// (cluster.tuples_*, cluster.busy_seconds, ...).
+  const telemetry::Telemetry& telemetry() const { return telemetry_; }
 
  private:
   struct BufferedBatch {
@@ -126,13 +128,16 @@ class Worker {
   void ProcessLocal(uint32_t op, uint32_t count, double create_time);
   void ShipTo(uint32_t peer_id, uint32_t op, uint32_t port, uint32_t count,
               double create_time);
+  /// The one loss-accounting point: `count` tuples dropped by a failed
+  /// ship (`ship_failure`) or by paused-buffer overflow.
+  void CountLoss(uint32_t count, bool ship_failure);
   void FlushPausedBuffers();
 
   void GenerateSources(double now, double dt);
   void SendHeartbeat(double now);
-  /// Sends the metric-registry delta since the last report (piggybacked
-  /// on the heartbeat cadence) for the coordinator's federated plane.
-  void SendStatsReport();
+  /// The metric-registry delta since the previous call, for the
+  /// coordinator's federated plane (kStatsReport / kFinalStats).
+  StatsReportMsg TakeStatsDelta();
   /// Freezes the flight recorder at the coordinator-ordered instant and
   /// replies with the rendered incident (kFrozenReport).
   Status HandleFreeze(const FreezeMsg& freeze);
@@ -175,10 +180,11 @@ class Worker {
   double next_tick_ = 0.0;
   Rng rng_{1};
 
-  // Accounting.
-  WorkerCounters counters_;
+  // Per-operator loads for the heartbeat, and the running CPU total
+  // behind the cluster.busy_seconds gauge.
   std::vector<uint64_t> op_processed_;
   std::vector<double> op_busy_;
+  double busy_seconds_ = 0.0;
 
   // Cluster clock view (event-loop thread only): the latest
   // coordinator-distributed offsets per worker id, in microseconds on
@@ -188,7 +194,7 @@ class Worker {
 
   // Last-reported registry state, for kStatsReport deltas (values are
   // cumulative; only changed families are resent).
-  std::map<std::string, uint64_t> reported_counters_;
+  std::map<std::string, uint64_t> reported_counter_values_;
   std::map<std::string, double> reported_gauges_;
   std::map<std::string, uint64_t> reported_hist_counts_;
 
@@ -200,6 +206,7 @@ class Worker {
   uint16_t http_port_ = 0;
   FrameMetrics frame_metrics_{&telemetry_};
   telemetry::Histogram ship_latency_;
+  telemetry::Histogram sink_latency_;
 };
 
 /// Convenience for tools and forked test children: construct + Run.

@@ -11,7 +11,6 @@
 // operators; see runtime/supervisor.h for the production implementation
 // built on place::RepairPlacement) and on sustained overload
 // (OnOverload, may order a shed rate or an incremental re-placement).
-// RecoveryAgent remains as an alias for the crash-only historical name.
 
 #ifndef ROD_RUNTIME_CHAOS_H_
 #define ROD_RUNTIME_CHAOS_H_
@@ -154,9 +153,6 @@ class ControlAgent {
   /// detector's clear threshold (any ordered shed rate has been lifted).
   virtual void OnOverloadCleared(double now) { (void)now; }
 };
-
-/// Historical name from when the agent only handled crash recovery.
-using RecoveryAgent = ControlAgent;
 
 }  // namespace rod::sim
 

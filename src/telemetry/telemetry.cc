@@ -205,8 +205,8 @@ void Telemetry::GaugeMax(uint32_t id, double v) {
   }
 }
 
-void Telemetry::HistogramRecord(uint32_t id, double v) {
-  if (id >= kMaxHistograms) return;
+void Telemetry::HistogramRecord(uint32_t id, double v, uint64_t n) {
+  if (id >= kMaxHistograms || n == 0) return;
   ThreadShard& shard = impl_->LocalShard();
   HistShard* h = shard.hists[id].load(std::memory_order_acquire);
   if (h == nullptr) {
@@ -214,11 +214,13 @@ void Telemetry::HistogramRecord(uint32_t id, double v) {
     shard.hists[id].store(h, std::memory_order_release);
   }
   auto& bucket = h->buckets[static_cast<size_t>(BucketOf(v))];
-  bucket.store(bucket.load(std::memory_order_relaxed) + 1,
+  bucket.store(bucket.load(std::memory_order_relaxed) + n,
                std::memory_order_relaxed);
-  h->count.store(h->count.load(std::memory_order_relaxed) + 1,
+  h->count.store(h->count.load(std::memory_order_relaxed) + n,
                  std::memory_order_relaxed);
-  h->sum.store(h->sum.load(std::memory_order_relaxed) + v,
+  // v * 1.0 == v exactly, so single samples sum bit-identically.
+  h->sum.store(h->sum.load(std::memory_order_relaxed) +
+                   v * static_cast<double>(n),
                std::memory_order_relaxed);
   if (v < h->min.load(std::memory_order_relaxed)) {
     h->min.store(v, std::memory_order_relaxed);

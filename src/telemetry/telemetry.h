@@ -104,7 +104,9 @@ class Gauge {
 class Histogram {
  public:
   Histogram() = default;
-  inline void Record(double v);
+  /// Records `n` samples of value `v` (count and bucket grow by n, sum by
+  /// v*n); n == 0 records nothing.
+  inline void Record(double v, uint64_t n = 1);
   bool valid() const { return telemetry_ != nullptr; }
 
  private:
@@ -257,7 +259,7 @@ class Telemetry {
   void CounterAdd(uint32_t id, uint64_t n);
   void GaugeSet(uint32_t id, double v);
   void GaugeMax(uint32_t id, double v);
-  void HistogramRecord(uint32_t id, double v);
+  void HistogramRecord(uint32_t id, double v, uint64_t n);
 
  private:
   struct Impl;
@@ -274,8 +276,8 @@ inline void Gauge::Set(double v) {
 inline void Gauge::Max(double v) {
   if (telemetry_ != nullptr) telemetry_->GaugeMax(id_, v);
 }
-inline void Histogram::Record(double v) {
-  if (telemetry_ != nullptr) telemetry_->HistogramRecord(id_, v);
+inline void Histogram::Record(double v, uint64_t n) {
+  if (telemetry_ != nullptr) telemetry_->HistogramRecord(id_, v, n);
 }
 
 /// Writes `snap` as the metrics-snapshot object into an in-progress

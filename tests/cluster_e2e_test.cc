@@ -268,6 +268,35 @@ TEST(ClusterE2eTest, FederatedMetricsAgreeWithWorkerPlanes) {
     EXPECT_TRUE(WIFEXITED(wstatus) && WEXITSTATUS(wstatus) == 0);
   }
   EXPECT_TRUE(agreed) << failure;
+
+  // Single source: the HTTP plane outlives Run(), and one final scrape
+  // agrees exactly with the report, because both read the same federated
+  // registries (each ending with the worker's kFinalStats delta).
+  const std::string fed = HttpBody(HttpGet(http_port, "/metrics"));
+  const ClusterReport& report = coordinator.report();
+  EXPECT_GT(report.totals.delivered, 0u);
+  ASSERT_EQ(report.workers.size(), 3u);
+  for (const ClusterReport::WorkerSummary& worker : report.workers) {
+    const std::string label = "{name=\"" + worker.name + "\",worker=\"" +
+                              std::to_string(worker.worker_id) + "\"}";
+    const auto series = [&](const std::string& family) -> uint64_t {
+      const std::string value = SeriesValue(fed, family + label);
+      EXPECT_FALSE(value.empty()) << family << label;
+      return std::strtoull(value.c_str(), nullptr, 10);
+    };
+    const WorkerCounters& c = worker.counters;
+    EXPECT_TRUE(worker.final_stats);
+    EXPECT_EQ(c.generated, series("cluster_tuples_generated"));
+    EXPECT_EQ(c.processed, series("cluster_tuples_processed"));
+    EXPECT_EQ(c.emitted, series("cluster_tuples_emitted"));
+    EXPECT_EQ(c.delivered, series("cluster_tuples_delivered"));
+    EXPECT_EQ(c.shipped, series("cluster_tuples_shipped"));
+    EXPECT_EQ(c.received, series("cluster_tuples_received"));
+    EXPECT_EQ(c.lost_tuples, series("cluster_tuples_lost"));
+    EXPECT_EQ(c.ship_failures, series("cluster_ship_failures"));
+    // One sink-latency record per delivered batch, weighted by its size.
+    EXPECT_EQ(c.latency_count, c.delivered);
+  }
 }
 
 TEST(ClusterE2eTest, KillNineMidRunDetectsRepairsAndCompletes) {

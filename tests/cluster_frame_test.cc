@@ -120,6 +120,16 @@ TEST(ClusterFrameTest, BadVersionByteIsInvalidArgument) {
   EXPECT_EQ(DecodeWhole(wire, &frame).code(), StatusCode::kInvalidArgument);
 }
 
+TEST(ClusterFrameTest, VersionOneFrameIsInvalidArgument) {
+  // Version 2 changed the kHeartbeat and kFinalStats payload layouts, so
+  // a correctly CRC'd version-1 frame is protocol skew, not corruption.
+  ASSERT_EQ(kFrameVersion, 2);
+  const std::string wire = CorruptWithValidCrc(
+      EncodeFrame(MsgType::kHeartbeat, "x"), 4, static_cast<char>(1));
+  Frame frame;
+  EXPECT_EQ(DecodeWhole(wire, &frame).code(), StatusCode::kInvalidArgument);
+}
+
 TEST(ClusterFrameTest, BadMagicIsInvalidArgument) {
   const std::string wire =
       CorruptWithValidCrc(EncodeFrame(MsgType::kHello, "x"), 0, 'X');

@@ -147,6 +147,9 @@ TEST(ClusterWireTest, GeneratedGraphSurvivesTheWire) {
   }
 }
 
+/// Bytes of the heartbeat's fixed fields: worker_id through queue_depth.
+constexpr size_t kHeartbeatFixedBytes = 4 + 8 + 8 + 8 + 8;
+
 TEST(ClusterWireTest, HeartbeatRoundTripWithLoads) {
   HeartbeatMsg hb;
   hb.worker_id = 2;
@@ -154,29 +157,45 @@ TEST(ClusterWireTest, HeartbeatRoundTripWithLoads) {
   hb.uptime_seconds = 3.25;
   hb.plan_version = 9;
   hb.queue_depth = 17;
-  hb.counters.generated = 1000;
-  hb.counters.processed = 900;
-  hb.counters.lost_tuples = 3;
-  hb.counters.latency_sum = 1.5;
-  hb.counters.latency_max = 0.125;
-  hb.counters.latency_count = 890;
   hb.loads = {{0, 500, 0.05}, {4, 400, 0.04}};
 
-  auto decoded = HeartbeatMsg::Decode(hb.Encode());
+  const std::string payload = hb.Encode();
+  // Liveness, plan version, queue depth and loads only: no counter block.
+  EXPECT_EQ(payload.size(), kHeartbeatFixedBytes + 4 + 2 * (4 + 8 + 8));
+  auto decoded = HeartbeatMsg::Decode(payload);
   ASSERT_TRUE(decoded.ok()) << decoded.status().ToString();
   EXPECT_EQ(decoded->worker_id, 2u);
   EXPECT_EQ(decoded->seq, 41u);
+  EXPECT_DOUBLE_EQ(decoded->uptime_seconds, 3.25);
   EXPECT_EQ(decoded->plan_version, 9u);
   EXPECT_EQ(decoded->queue_depth, 17u);
-  EXPECT_EQ(decoded->counters.generated, 1000u);
-  EXPECT_EQ(decoded->counters.lost_tuples, 3u);
-  EXPECT_DOUBLE_EQ(decoded->counters.latency_max, 0.125);
   ASSERT_EQ(decoded->loads.size(), 2u);
   EXPECT_EQ(decoded->loads[1].op, 4u);
   EXPECT_EQ(decoded->loads[1].processed, 400u);
+  EXPECT_DOUBLE_EQ(decoded->loads[1].busy_seconds, 0.04);
 }
 
-TEST(ClusterWireTest, TuplePauseDiffFinalRoundTrips) {
+TEST(ClusterWireTest, OldLayoutHeartbeatIsRejected) {
+  // Frame version 1 carried a 104-byte cumulative counter block between
+  // queue_depth and the loads. Such a payload must fail to decode, not
+  // be misread as loads.
+  HeartbeatMsg hb;
+  hb.worker_id = 2;
+  hb.loads = {{0, 500, 0.05}};
+  const std::string current = hb.Encode();
+  WireWriter block;
+  for (uint64_t i = 0; i < 9; ++i) block.U64(1000 + i);  // Tuple counts.
+  for (int i = 0; i < 3; ++i) block.F64(0.5);  // Busy, latency sum/max.
+  block.U64(890);                              // Latency count.
+  ASSERT_EQ(block.str().size(), 104u);
+  const std::string old_layout = current.substr(0, kHeartbeatFixedBytes) +
+                                 block.str() +
+                                 current.substr(kHeartbeatFixedBytes);
+  EXPECT_EQ(HeartbeatMsg::Decode(old_layout).status().code(),
+            StatusCode::kInvalidArgument);
+}
+
+TEST(ClusterWireTest, TuplePauseDiffRoundTrips) {
   TupleBatchMsg batch{12, 1, 64, 3, 2.75};
   auto b = TupleBatchMsg::Decode(batch.Encode());
   ASSERT_TRUE(b.ok());
@@ -204,14 +223,6 @@ TEST(ClusterWireTest, TuplePauseDiffFinalRoundTrips) {
   EXPECT_EQ(d->moves[1].op, 5u);
   EXPECT_EQ(d->moves[1].from_worker, 2u);
   EXPECT_EQ(d->moves[1].to_worker, 1u);
-
-  FinalStatsMsg stats;
-  stats.worker_id = 1;
-  stats.counters.delivered = 123456;
-  auto f = FinalStatsMsg::Decode(stats.Encode());
-  ASSERT_TRUE(f.ok());
-  EXPECT_EQ(f->worker_id, 1u);
-  EXPECT_EQ(f->counters.delivered, 123456u);
 }
 
 TEST(ClusterWireTest, TupleBatchCarriesSendTime) {
@@ -275,6 +286,16 @@ TEST(ClusterWireTest, StatsReportRoundTrip) {
   EXPECT_DOUBLE_EQ(r->histograms[0].min, 100.0);
   EXPECT_DOUBLE_EQ(r->histograms[0].max, 500.0);
   EXPECT_EQ(r->histograms[0].buckets, h.buckets);
+
+  // An empty delta is a valid payload: the kFinalStats reply is sent even
+  // when nothing changed since the last report.
+  StatsReportMsg empty;
+  empty.worker_id = 2;
+  auto e = StatsReportMsg::Decode(empty.Encode());
+  ASSERT_TRUE(e.ok());
+  EXPECT_EQ(e->worker_id, 2u);
+  EXPECT_TRUE(e->counters.empty() && e->gauges.empty() &&
+              e->histograms.empty());
 }
 
 TEST(ClusterWireTest, ClockSyncFreezeFrozenRoundTrips) {

@@ -131,6 +131,45 @@ TEST(TelemetryTest, HistogramSnapshotBasics) {
   for (const auto& [upper, n] : s.buckets) EXPECT_EQ(n, 1u);
 }
 
+TEST(TelemetryTest, WeightedRecordMatchesRepeatedRecords) {
+  // k calls of Record(v) and one Record(v, k) give equal snapshots; the
+  // sums agree exactly because every v*k here is representable.
+  constexpr uint64_t kK = 7;
+  for (const double v : {0.0, 0.375, 3.0, 1000.5}) {
+    Telemetry repeated;
+    Telemetry weighted;
+    Histogram hr = repeated.histogram("h");
+    Histogram hw = weighted.histogram("h");
+    hr.Record(0.5);  // A prior sample, so min/max updates are exercised.
+    hw.Record(0.5);
+    for (uint64_t i = 0; i < kK; ++i) hr.Record(v);
+    hw.Record(v, kK);
+    const HistogramSnapshot a = repeated.Snapshot().histograms.at("h");
+    const HistogramSnapshot b = weighted.Snapshot().histograms.at("h");
+    EXPECT_EQ(a.count, b.count) << v;
+    EXPECT_EQ(a.sum, b.sum) << v;
+    EXPECT_EQ(a.min, b.min) << v;
+    EXPECT_EQ(a.max, b.max) << v;
+    EXPECT_EQ(a.buckets, b.buckets) << v;
+  }
+
+  // Record(v, 0) is a no-op, on a fresh histogram and a populated one.
+  Telemetry tel;
+  Histogram h = tel.histogram("h");
+  h.Record(8.0, 0);
+  EXPECT_EQ(tel.Snapshot().histograms.at("h").count, 0u);
+  h.Record(2.0);
+  const HistogramSnapshot before = tel.Snapshot().histograms.at("h");
+  h.Record(64.0, 0);
+  h.Record(-1.0, 0);
+  const HistogramSnapshot after = tel.Snapshot().histograms.at("h");
+  EXPECT_EQ(after.count, before.count);
+  EXPECT_EQ(after.sum, before.sum);
+  EXPECT_EQ(after.min, before.min);
+  EXPECT_EQ(after.max, before.max);
+  EXPECT_EQ(after.buckets, before.buckets);
+}
+
 TEST(TelemetryTest, HistogramQuantileWithinOneBucketAndClamped) {
   Telemetry tel;
   Histogram h = tel.histogram("lat");

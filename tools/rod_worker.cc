@@ -97,7 +97,8 @@ int main(int argc, char** argv) {
     std::fprintf(stderr, "rod_worker: %s\n", status.ToString().c_str());
     return 1;
   }
-  const rod::cluster::WorkerCounters& c = worker.counters();
+  const rod::cluster::WorkerCounters c =
+      rod::cluster::CountersFromSnapshot(worker.telemetry().Snapshot());
   std::fprintf(stderr,
                "rod_worker %u done: generated=%llu processed=%llu "
                "delivered=%llu shipped=%llu received=%llu lost=%llu\n",
