@@ -1,7 +1,10 @@
 // Micro-benchmark M1: ROD placement runtime scaling in the number of
 // operators m, nodes n, and input streams d. ROD is O(m n D) per run plus
 // the O(m log m) sort — static placement must be cheap enough to rerun on
-// every provisioning change.
+// every provisioning change. Random-tree operators load exactly one
+// stream, so the candidate scan reads cached weights on d - 1 of every d
+// axes; BM_RodPlaceMatrixDense loads every axis of every unit, the other
+// side of that sparsity.
 
 #include <benchmark/benchmark.h>
 
@@ -58,6 +61,29 @@ void BM_RodPlaceLowerBound(benchmark::State& state) {
   }
 }
 
+void BM_RodPlaceMatrixDense(benchmark::State& state) {
+  const size_t units = static_cast<size_t>(state.range(0));
+  const size_t nodes = static_cast<size_t>(state.range(1));
+  const size_t dims = static_cast<size_t>(state.range(2));
+  rod::Rng rng(45);
+  rod::Matrix coeffs(units, dims);
+  rod::Vector totals(dims, 0.0);
+  for (size_t j = 0; j < units; ++j) {
+    for (size_t k = 0; k < dims; ++k) {
+      coeffs(j, k) = rng.Uniform(0.1e-3, 10e-3);
+      totals[k] += coeffs(j, k);
+    }
+  }
+  const SystemSpec system = SystemSpec::Homogeneous(nodes);
+
+  for (auto _ : state) {
+    auto plan = rod::place::RodPlaceMatrix(coeffs, totals, system);
+    benchmark::DoNotOptimize(plan);
+  }
+  state.SetItemsProcessed(static_cast<int64_t>(state.iterations()) *
+                          static_cast<int64_t>(units));
+}
+
 void BM_BuildLoadModel(benchmark::State& state) {
   rod::query::GraphGenOptions gen;
   gen.num_input_streams = 5;
@@ -82,6 +108,10 @@ BENCHMARK(BM_RodPlace)
 BENCHMARK(BM_RodPlace)->Args({400, 2, 5})->Args({400, 16, 5})->Args({400, 64, 5});
 // Scale d with m = 400, n = 8.
 BENCHMARK(BM_RodPlace)->Args({400, 8, 2})->Args({400, 8, 8})->Args({400, 8, 16});
+// The place_scale shape: 10,000 operators, 256 nodes, 10 streams.
+BENCHMARK(BM_RodPlace)->Args({10000, 256, 10});
+// Dense rows at the same shapes: every axis changes with every unit.
+BENCHMARK(BM_RodPlaceMatrixDense)->Args({400, 8, 5})->Args({10000, 256, 10});
 BENCHMARK(BM_RodPlaceLowerBound);
 BENCHMARK(BM_BuildLoadModel)->Arg(100)->Arg(1000)->Arg(10000);
 

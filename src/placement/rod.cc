@@ -8,8 +8,6 @@
 #include <string>
 
 #include "common/random.h"
-#include "common/thread_pool.h"
-#include "geometry/hyperplane.h"
 #include "placement/delta_volume.h"
 
 namespace rod::place {
@@ -17,13 +15,7 @@ namespace rod::place {
 namespace {
 
 constexpr double kClassITolerance = 1e-9;
-
-/// Candidate metrics of placing the current unit on one node.
-struct Candidate {
-  bool class_one = false;     ///< Hyperplane stays above the ideal one.
-  double plane_distance = 0;  ///< From the (possibly shifted) origin.
-  double max_weight = 0;      ///< max_k w_ik after the assignment.
-};
+constexpr double kInfinity = std::numeric_limits<double>::infinity();
 
 }  // namespace
 
@@ -85,9 +77,13 @@ Result<Placement> RodPlaceMatrix(
     });
   }
 
-  // --- Phase 2: greedy assignment. ---
+  // --- Phase 2: greedy assignment. Node state is axis-major: row k of
+  // `node_coeffs` holds every node's load coefficient on variable k, and
+  // row k of `node_weight` caches w_ik = l_ik / l_k / (C_i/C_T), rewritten
+  // only for the node that receives a unit. ---
   Rng rng(options.seed);
-  Matrix node_coeffs(n, dims);
+  Matrix node_coeffs(dims, n);
+  Matrix node_weight(dims, n);
   std::vector<size_t> assignment(m, 0);
   std::vector<bool> assigned(m, false);
   if (fixed_assignment != nullptr) {
@@ -98,11 +94,16 @@ Result<Placement> RodPlaceMatrix(
       assignment[j] = node;
       assigned[j] = true;
       for (size_t k = 0; k < dims; ++k) {
-        node_coeffs(node, k) += op_coeffs(j, k);
+        node_coeffs(k, node) += op_coeffs(j, k);
       }
     }
   }
-  Vector w(dims);  // scratch candidate weight row
+  auto refresh_weights = [&](size_t i) {
+    for (size_t k = 0; k < dims; ++k) {
+      node_weight(k, i) = node_coeffs(k, i) / total_coeffs[k] / cap_share[i];
+    }
+  };
+  for (size_t i = 0; i < n; ++i) refresh_weights(i);
 
   // Volume-scored greedy: per-sample feasibility state shared across the
   // whole run, seeded with any pinned units in unit order.
@@ -126,43 +127,52 @@ Result<Placement> RodPlaceMatrix(
   }
 
   const bool has_lb = !normalized_lower_bound.empty();
-  std::vector<Candidate> cand(n);
+  // Candidate metrics of placing the current unit on each node: the
+  // largest weight, the running sums of Norm2 and Dot over the candidate
+  // weight row, and the resulting plane distance.
+  Vector max_weight(n), sum_sq(n), lb_dot(n), plane_distance(n);
+  Vector axis_weight(n);  // candidate weights on one axis the unit loads
   std::vector<size_t> class_one_nodes;
   std::vector<size_t> all_nodes(n);
   std::iota(all_nodes.begin(), all_nodes.end(), 0);
-  // Nodes per parallel chunk of the candidate evaluation; below one chunk
-  // per lane the pool dispatch costs more than the dims-length row scans.
-  constexpr size_t kNodeGrain = 16;
 
   for (size_t j : order) {
-    auto eval_node = [&](size_t i, Vector& scratch) {
-      bool class_one = true;
-      double max_weight = 0.0;
-      for (size_t k = 0; k < dims; ++k) {
-        scratch[k] = (node_coeffs(i, k) + op_coeffs(j, k)) / total_coeffs[k] /
-                     cap_share[i];
-        max_weight = std::max(max_weight, scratch[k]);
-        if (scratch[k] > 1.0 + kClassITolerance) class_one = false;
+    std::fill(max_weight.begin(), max_weight.end(), 0.0);
+    std::fill(sum_sq.begin(), sum_sq.end(), 0.0);
+    std::fill(lb_dot.begin(), lb_dot.end(), 0.0);
+    // Axis by axis, in the order Norm2 and Dot sum a row, so every
+    // per-node reduction is bit-identical to a row-major scan.
+    for (size_t k = 0; k < dims; ++k) {
+      const double c = op_coeffs(j, k);
+      const double* w = &node_weight(k, 0);
+      if (c != 0.0) {
+        const double* l = &node_coeffs(k, 0);
+        for (size_t i = 0; i < n; ++i) {
+          axis_weight[i] = (l[i] + c) / total_coeffs[k] / cap_share[i];
+        }
+        w = axis_weight.data();
       }
-      const double pd =
-          has_lb ? geom::PlaneDistanceFrom(scratch, normalized_lower_bound)
-                 : geom::PlaneDistance(scratch);
-      cand[i] = Candidate{class_one, pd, max_weight};
-    };
-    if (options.num_threads > 1 && n > kNodeGrain) {
-      ParallelFor(options.num_threads, n, kNodeGrain,
-                  [&](size_t, size_t begin, size_t end) {
-                    Vector scratch(dims);
-                    for (size_t i = begin; i < end; ++i) {
-                      eval_node(i, scratch);
-                    }
-                  });
-    } else {
-      for (size_t i = 0; i < n; ++i) eval_node(i, w);
+      // Otherwise (l_ik + 0) / l_k / share_i is the cached weight.
+      for (size_t i = 0; i < n; ++i) {
+        max_weight[i] = std::max(max_weight[i], w[i]);
+        sum_sq[i] += w[i] * w[i];
+      }
+      if (has_lb) {
+        const double b = normalized_lower_bound[k];
+        for (size_t i = 0; i < n; ++i) lb_dot[i] += w[i] * b;
+      }
     }
+    // PlaneDistance / PlaneDistanceFrom of the candidate row; Class I
+    // means no candidate weight above 1 + tolerance.
     class_one_nodes.clear();
     for (size_t i = 0; i < n; ++i) {
-      if (cand[i].class_one) class_one_nodes.push_back(i);
+      const double norm = std::sqrt(sum_sq[i]);
+      plane_distance[i] = norm == 0.0 ? kInfinity
+                          : has_lb    ? (1.0 - lb_dot[i]) / norm
+                                      : 1.0 / norm;
+      if (!(max_weight[i] > 1.0 + kClassITolerance)) {
+        class_one_nodes.push_back(i);
+      }
     }
 
     // Node selection.
@@ -171,7 +181,7 @@ Result<Placement> RodPlaceMatrix(
       assert(!nodes.empty());
       size_t best = nodes[0];
       for (size_t i : nodes) {
-        if (cand[i].plane_distance > cand[best].plane_distance) best = i;
+        if (plane_distance[i] > plane_distance[best]) best = i;
       }
       return best;
     };
@@ -190,7 +200,7 @@ Result<Placement> RodPlaceMatrix(
               volume_ctx->ScoreCandidate(i, options.delta_eval);
           if (count > best_count ||
               (count == best_count &&
-               cand[i].plane_distance > cand[selected].plane_distance)) {
+               plane_distance[i] > plane_distance[selected])) {
             best_count = count;
             selected = i;
           }
@@ -205,7 +215,7 @@ Result<Placement> RodPlaceMatrix(
         // keep every axis intercept 1/w_ik as large as possible.
         selected = 0;
         for (size_t i = 1; i < n; ++i) {
-          if (cand[i].max_weight < cand[selected].max_weight) selected = i;
+          if (max_weight[i] < max_weight[selected]) selected = i;
         }
         break;
       }
@@ -224,9 +234,7 @@ Result<Placement> RodPlaceMatrix(
             case RodOptions::ClassITieBreak::kMinMaxWeight:
               selected = class_one_nodes[0];
               for (size_t i : class_one_nodes) {
-                if (cand[i].max_weight < cand[selected].max_weight) {
-                  selected = i;
-                }
+                if (max_weight[i] < max_weight[selected]) selected = i;
               }
               break;
             case RodOptions::ClassITieBreak::kMinCrossArcs: {
@@ -241,7 +249,7 @@ Result<Placement> RodPlaceMatrix(
               for (size_t i : class_one_nodes) {
                 if (colocated[i] > colocated[selected] ||
                     (colocated[i] == colocated[selected] &&
-                     cand[i].plane_distance > cand[selected].plane_distance)) {
+                     plane_distance[i] > plane_distance[selected])) {
                   selected = i;
                 }
               }
@@ -260,8 +268,9 @@ Result<Placement> RodPlaceMatrix(
     assigned[j] = true;
     if (volume_ctx != nullptr) volume_ctx->Commit(selected);
     for (size_t k = 0; k < dims; ++k) {
-      node_coeffs(selected, k) += op_coeffs(j, k);
+      node_coeffs(k, selected) += op_coeffs(j, k);
     }
+    refresh_weights(selected);
   }
 
   return Placement(n, std::move(assignment));

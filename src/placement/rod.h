@@ -74,12 +74,6 @@ struct RodOptions {
 
   /// Seed for ClassITieBreak::kRandom.
   uint64_t seed = 0x20d5eedULL;
-
-  /// Parallelism of the per-unit candidate-node evaluation: > 1 computes
-  /// the candidate metrics of large clusters on the shared thread pool.
-  /// Metrics land in node-indexed slots and selection stays sequential,
-  /// so the placement is identical for every value.
-  size_t num_threads = 1;
 };
 
 /// Runs ROD on raw matrices: `op_coeffs` is the (m x D) load-coefficient

@@ -89,22 +89,19 @@ class MetricsCollector {
     // are micro-seconds, windows are seconds). `min(end, w_end) - cursor`
     // evaluates to exactly `end - start` here, so this adds the same
     // value the general loop below would.
-    {
-      const size_t w = static_cast<size_t>(start / window_sec_);
-      if (w < window_busy_.rows() &&
-          end <= static_cast<double>(w + 1) * window_sec_) {
-        window_busy_(w, node) += end - start;
-        return;
-      }
+    size_t w = static_cast<size_t>(start / window_sec_);
+    if (w < window_busy_.rows() &&
+        end <= static_cast<double>(w + 1) * window_sec_) {
+      window_busy_(w, node) += end - start;
+      return;
     }
-    // Split the interval across utilization windows.
-    double cursor = start;
-    while (cursor < end) {
-      const size_t w = static_cast<size_t>(cursor / window_sec_);
-      if (w >= window_busy_.rows()) break;  // service past the horizon
+    // Split the interval across utilization windows, stepping the index
+    // itself: for a width such as 0.1 s, `w_end / window_sec_` can round
+    // below w + 1. Service past the horizon is not booked.
+    for (double cursor = start; cursor < end && w < window_busy_.rows();
+         ++w) {
       const double w_end = static_cast<double>(w + 1) * window_sec_;
-      const double slice = std::min(end, w_end) - cursor;
-      window_busy_(w, node) += slice;
+      window_busy_(w, node) += std::min(end, w_end) - cursor;
       cursor = w_end;
     }
   }

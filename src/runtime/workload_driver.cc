@@ -18,18 +18,18 @@ double ArrivalGenerator::NextArrival(double now) {
   // if the gap overruns the window, restart the draw from the next window
   // (memorylessness makes this exact for Poisson; for deterministic
   // spacing it yields evenly spaced arrivals within each window).
+  // The walk steps the window index itself: for a width such as 0.04 s,
+  // `w_end / window_sec` can round below w + 1 and would never leave w.
   double t = std::max(now, 0.0);
-  const double horizon = trace_.duration();
-  while (t < horizon) {
-    const size_t w = static_cast<size_t>(t / trace_.window_sec);
+  if (!(t < trace_.duration())) return std::numeric_limits<double>::infinity();
+  for (size_t w = static_cast<size_t>(t / trace_.window_sec);
+       w < trace_.rates.size(); ++w) {
     const double w_end = static_cast<double>(w + 1) * trace_.window_sec;
     const double rate = trace_.rates[w] * rate_multiplier_;
-    if (rate <= 0.0) {
-      t = w_end;
-      continue;
+    if (rate > 0.0) {
+      const double gap = poisson_ ? rng_->Exponential(rate) : 1.0 / rate;
+      if (t + gap < w_end) return t + gap;
     }
-    const double gap = poisson_ ? rng_->Exponential(rate) : 1.0 / rate;
-    if (t + gap < w_end) return t + gap;
     t = w_end;
   }
   return std::numeric_limits<double>::infinity();

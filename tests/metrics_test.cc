@@ -135,6 +135,24 @@ TEST(MetricsTest, ServiceSplitsAcrossWindows) {
   EXPECT_NEAR(m.NodeUtilization(0, 4.0), 1.75 / 4.0, 1e-12);
 }
 
+TEST(MetricsTest, NonDyadicWindowSplitTerminates) {
+  // With 0.1 s windows, 43 * 0.1 / 0.1 rounds below 43: the split must
+  // step to window 43 rather than recompute window 42 from the boundary.
+  MetricsCollector m(1, 0.1, 10.0);
+  m.RecordService(0, 4.25, 4.35);
+  const Matrix& busy = m.window_busy();
+  double booked = 0.0;
+  for (size_t w = 0; w < busy.rows(); ++w) {
+    if (w != 42 && w != 43) {
+      EXPECT_EQ(busy(w, 0), 0.0) << "window " << w;
+    }
+    booked += busy(w, 0);
+  }
+  EXPECT_NEAR(busy(42, 0), 0.05, 1e-12);
+  EXPECT_NEAR(busy(43, 0), 0.05, 1e-12);
+  EXPECT_NEAR(booked, 0.1, 1e-12);
+}
+
 TEST(MetricsTest, ServicePastHorizonIsClipped) {
   MetricsCollector m(1, 1.0, 2.0);
   m.RecordService(0, 1.5, 5.0);  // runs past the 2-window horizon

@@ -84,6 +84,23 @@ TEST(ArrivalGeneratorTest, ZeroRateWindowsProduceNothing) {
   EXPECT_NEAR(static_cast<double>(count), 100.0, 35.0);
 }
 
+TEST(ArrivalGeneratorTest, NonDyadicWindowWidthTerminates) {
+  // 0.04 s does not divide exactly: some window ends t = (w + 1) * 0.04
+  // have t / 0.04 < w + 1, so a walk that recomputed the window index
+  // from t would stay in window w forever.
+  std::vector<double> rates(2001, 0.0);
+  rates.back() = 1000.0;
+  const trace::RateTrace trace = MakeTrace(rates, 0.04);
+  const auto arrivals =
+      MaterializeArrivals({trace}, true, 11, trace.duration());
+  ASSERT_EQ(arrivals.size(), 1u);
+  ASSERT_FALSE(arrivals[0].empty());
+  for (const double t : arrivals[0]) {
+    EXPECT_GE(t, 2000 * 0.04);
+    EXPECT_LT(t, 2001 * 0.04);
+  }
+}
+
 TEST(ArrivalGeneratorTest, ExhaustedTraceReturnsInfinity) {
   Rng rng(5);
   ArrivalGenerator gen(MakeTrace({5.0}), false, &rng);
