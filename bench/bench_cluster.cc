@@ -12,8 +12,9 @@
 //      process boundaries per second of run time, under a rate high
 //      enough that shipping dominates;
 //   3. kill-to-recovery: SIGKILL one worker mid-run and split the
-//      outage into detection (missed-heartbeat deadline) and repair
-//      (supervisor placement + pause/drain/reassign/resume diff).
+//      outage into detection (last heartbeat to the verdict on the lost
+//      control connection) and repair (supervisor placement +
+//      pause/drain/reassign/resume diff).
 //
 // Emits a machine-readable JSON baseline (fields documented in
 // docs/BENCH_CLUSTER.md) so later PRs can regress against it.

@@ -249,9 +249,8 @@ Status Coordinator::BuildAndShipPlan() {
   }
 
   // The supervisor that will repair worker failures: the same ControlAgent
-  // the in-process engine consults, driven here off missed heartbeats.
+  // the in-process engine consults, driven here by MonitorLoop's verdicts.
   sim::Supervisor::Options sup = options_.supervisor;
-  sup.detection_delay = options_.heartbeat_timeout;
   sup.telemetry = &telemetry_;
   sup.flight_recorder = &flight_recorder_;
   supervisor_ = std::make_unique<sim::Supervisor>(*model_, std::move(sup));
@@ -270,8 +269,8 @@ Status Coordinator::BuildAndShipPlan() {
   const std::string payload = plan.Encode();
 
   const double ship_begin = MonotonicSeconds();
-  for (WorkerState& worker : workers_) {
-    ROD_RETURN_IF_ERROR(worker.conn.Send(MsgType::kPlan, payload));
+  for (uint32_t i = 0; i < workers_.size(); ++i) {
+    ROD_RETURN_IF_ERROR(SendTo(i, MsgType::kPlan, payload));
   }
   for (uint32_t i = 0; i < workers_.size(); ++i) {
     Frame frame;
@@ -298,8 +297,7 @@ Status Coordinator::SyncClocks(size_t rounds) {
       PingMsg ping;
       ping.seq = ++ping_seq_;
       ping.t1_us = telemetry_.NowMicros();
-      ROD_RETURN_IF_ERROR(
-          workers_[i].conn.Send(MsgType::kPing, ping.Encode()));
+      ROD_RETURN_IF_ERROR(SendTo(i, MsgType::kPing, ping.Encode()));
       Frame frame;
       ROD_RETURN_IF_ERROR(AwaitFrame(i, MsgType::kPong, &frame));
       const double t4 = telemetry_.NowMicros();
@@ -317,16 +315,11 @@ void Coordinator::SendPings(double now) {
   next_ping_ = now + std::max(0.05, options_.clock_sync_interval);
   if (clock_dirty_) BroadcastClockSync();
   for (uint32_t i = 0; i < workers_.size(); ++i) {
-    WorkerState& worker = workers_[i];
-    if (!worker.alive || !worker.conn_ok) continue;
+    if (!workers_[i].alive || !workers_[i].conn_ok) continue;
     PingMsg ping;
     ping.seq = ++ping_seq_;
     ping.t1_us = telemetry_.NowMicros();
-    if (!worker.conn.Send(MsgType::kPing, ping.Encode()).ok()) {
-      // The heartbeat deadline declares the failure; just stop polling.
-      worker.conn_ok = false;
-      worker.conn.Close();
-    }
+    (void)SendTo(i, MsgType::kPing, ping.Encode());
   }
 }
 
@@ -368,12 +361,9 @@ void Coordinator::BroadcastClockSync() {
   }
   if (msg.entries.empty()) return;
   const std::string payload = msg.Encode();
-  for (WorkerState& worker : workers_) {
-    if (!worker.alive || !worker.conn_ok) continue;
-    if (!worker.conn.Send(MsgType::kClockSync, payload).ok()) {
-      worker.conn_ok = false;
-      worker.conn.Close();
-    }
+  for (uint32_t i = 0; i < workers_.size(); ++i) {
+    if (!workers_[i].alive || !workers_[i].conn_ok) continue;
+    (void)SendTo(i, MsgType::kClockSync, payload);
   }
   clock_dirty_ = false;
   telemetry_.Count("cluster.clock_syncs_sent", 1);
@@ -387,8 +377,8 @@ Status Coordinator::StartRun() {
   start.rates = options_.rates;
   start.rates.resize(graph_.num_input_streams(), options_.default_rate);
   const std::string payload = start.Encode();
-  for (WorkerState& worker : workers_) {
-    ROD_RETURN_IF_ERROR(worker.conn.Send(MsgType::kStart, payload));
+  for (uint32_t i = 0; i < workers_.size(); ++i) {
+    ROD_RETURN_IF_ERROR(SendTo(i, MsgType::kStart, payload));
   }
   started_ = true;
   run_epoch_ = MonotonicSeconds();
@@ -424,22 +414,23 @@ Status Coordinator::MonitorLoop() {
         const uint32_t i = polled[k];
         Frame frame;
         if (!workers_[i].conn.Recv(&frame).ok()) {
-          // EOF/reset: the control channel is gone. The worker is
-          // declared failed by the heartbeat deadline below, keeping
-          // detection semantics uniform (missed heartbeats).
-          workers_[i].conn_ok = false;
-          workers_[i].conn.Close();
+          LoseConnection(i);
           continue;
         }
         HandleAsyncFrame(i, frame);
       }
     }
 
+    // The only place verdicts are issued. A lost control connection is
+    // final: no heartbeat can arrive on it again, so the worker fails now.
+    // The deadline catches a worker that goes silent with its socket
+    // still open (stopped, hung).
     const double now = Now();
     if (now >= next_ping_) SendPings(now);
     for (uint32_t i = 0; i < workers_.size(); ++i) {
       if (!workers_[i].alive) continue;
-      if (now - workers_[i].last_heartbeat > options_.heartbeat_timeout) {
+      if (!workers_[i].conn_ok ||
+          now - workers_[i].last_heartbeat > options_.heartbeat_timeout) {
         HandleWorkerFailure(i, now);
       }
     }
@@ -551,56 +542,58 @@ void Coordinator::BroadcastFreeze(uint64_t incident_id,
   freeze.kind = kind;
   freeze.detail = detail;
   const std::string payload = freeze.Encode();
-  for (WorkerState& worker : workers_) {
-    if (!worker.alive || !worker.conn_ok) continue;
-    (void)worker.conn.Send(MsgType::kFreeze, payload);
+  for (uint32_t i = 0; i < workers_.size(); ++i) {
+    if (!workers_[i].alive || !workers_[i].conn_ok) continue;
+    (void)SendTo(i, MsgType::kFreeze, payload);
   }
   telemetry_.Count("cluster.freezes_broadcast", 1);
 }
 
 void Coordinator::HandleWorkerFailure(uint32_t failed, double now) {
   WorkerState& worker = workers_[failed];
-  const bool first_detection = worker.alive;
-  if (first_detection) {
+  if (worker.alive) {
+    // The verdict names its evidence.
+    const std::string detail =
+        worker.name + ": " +
+        (worker.conn_ok ? "missed heartbeats for " +
+                              std::to_string(options_.heartbeat_timeout) + "s"
+                        : "control connection lost");
     worker.alive = false;
-    worker.conn_ok = false;
-    worker.conn.Close();
+    LoseConnection(failed);
     telemetry_.Count("cluster.failures_detected", 1);
     size_t alive = 0;
     for (const WorkerState& w : workers_) alive += w.alive ? 1 : 0;
     telemetry_.SetGauge("cluster.workers_alive",
                         static_cast<double>(alive));
-    std::lock_guard<std::mutex> lock(obs_mu_);
-    if (failed < obs_.size()) obs_[failed].alive = false;
+    {
+      std::lock_guard<std::mutex> lock(obs_mu_);
+      if (failed < obs_.size()) obs_[failed].alive = false;
+    }
+    if (!report_.had_incident) {
+      // The run's first incident: freeze pre-incident state and start the
+      // engine-schema report. The true crash instant is unobservable from
+      // outside the dead process; the last proof of life bounds it.
+      report_.had_incident = true;
+      report_.incident.crash_time = worker.last_heartbeat;
+      report_.incident.failed_node = failed;
+      report_.incident.detect_time = now;
+      report_.phases.detect_seconds = now - worker.last_heartbeat;
+      flight_recorder_.BeginIncident("cluster.worker_failure", detail);
+      // Order every survivor to freeze its own rings at (about) this same
+      // aligned instant; their kFrozenReport replies land in the incident
+      // report's worker_snapshots.
+      BroadcastFreeze(++incident_id_, "cluster.worker_failure", detail);
+    }
+    flight_recorder_.Note("failure detected: worker " +
+                          std::to_string(failed) + " (" + detail + ")");
   }
 
-  if (!report_.had_incident) {
-    // The run's first incident: freeze pre-incident state and start the
-    // engine-schema report. The true crash instant is unobservable from
-    // outside the dead process; the last proof of life bounds it.
-    report_.had_incident = true;
-    report_.incident.crash_time = worker.last_heartbeat;
-    report_.incident.failed_node = failed;
-    const std::string detail = worker.name + " missed heartbeats for " +
-                               std::to_string(options_.heartbeat_timeout) +
-                               "s";
-    flight_recorder_.BeginIncident("cluster.worker_failure", detail);
-    // Order every survivor to freeze its own rings at (about) this same
-    // aligned instant; their kFrozenReport replies land in the incident
-    // report's worker_snapshots.
-    BroadcastFreeze(++incident_id_, "cluster.worker_failure", detail);
-  }
-  if (report_.incident.failed_node == failed &&
-      report_.incident.detect_time < 0.0) {
-    report_.incident.detect_time = now;
-    report_.phases.detect_seconds = now - report_.incident.crash_time;
-  }
-  flight_recorder_.Note("failure detected: worker " +
-                        std::to_string(failed) + " (" + worker.name + ")");
-
+  // A worker whose connection is already lost is never a repair target.
   std::vector<bool> node_up;
   node_up.reserve(workers_.size());
-  for (const WorkerState& w : workers_) node_up.push_back(w.alive);
+  for (const WorkerState& w : workers_) {
+    node_up.push_back(w.alive && w.conn_ok);
+  }
 
   auto update =
       supervisor_->OnFailureDetected(now, failed, node_up, deployment_);
@@ -617,12 +610,18 @@ void Coordinator::HandleWorkerFailure(uint32_t failed, double now) {
     }
     return;
   }
-  const Status applied = ExecutePlanDiff(*update, now);
+  const Status applied = ExecutePlanDiff(*update);
   if (!applied.ok()) {
     flight_recorder_.Note("plan diff failed: " + applied.ToString());
     return;
   }
-  if (report_.incident.failed_node == failed) {
+  // The incident is over with the first diff that leaves no operator on a
+  // down or disconnected worker, whichever failure triggered that diff.
+  const bool homed = std::all_of(
+      assignment_.begin(), assignment_.end(), [this](size_t w) {
+        return workers_[w].alive && workers_[w].conn_ok;
+      });
+  if (homed && !report_.incident.recovered) {
     report_.incident.plan_applied_time = Now();
     report_.incident.recovered = true;
     report_.incident.recovery_time =
@@ -630,9 +629,7 @@ void Coordinator::HandleWorkerFailure(uint32_t failed, double now) {
   }
 }
 
-Status Coordinator::ExecutePlanDiff(const sim::PlanUpdate& update,
-                                    double now) {
-  (void)now;
+Status Coordinator::ExecutePlanDiff(const sim::PlanUpdate& update) {
   std::vector<OperatorMove> moves;
   for (size_t j = 0; j < update.assignment.size(); ++j) {
     if (j < assignment_.size() && update.assignment[j] != assignment_[j]) {
@@ -653,8 +650,7 @@ Status Coordinator::ExecutePlanDiff(const sim::PlanUpdate& update,
   const std::string pause_payload = pause.Encode();
   for (uint32_t i = 0; i < workers_.size(); ++i) {
     if (!workers_[i].alive || !workers_[i].conn_ok) continue;
-    ROD_RETURN_IF_ERROR(
-        workers_[i].conn.Send(MsgType::kPause, pause_payload));
+    ROD_RETURN_IF_ERROR(SendTo(i, MsgType::kPause, pause_payload));
   }
   for (uint32_t i = 0; i < workers_.size(); ++i) {
     if (!workers_[i].alive || !workers_[i].conn_ok) continue;
@@ -671,8 +667,7 @@ Status Coordinator::ExecutePlanDiff(const sim::PlanUpdate& update,
   const std::string diff_payload = diff.Encode();
   for (uint32_t i = 0; i < workers_.size(); ++i) {
     if (!workers_[i].alive || !workers_[i].conn_ok) continue;
-    ROD_RETURN_IF_ERROR(
-        workers_[i].conn.Send(MsgType::kPlanDiff, diff_payload));
+    ROD_RETURN_IF_ERROR(SendTo(i, MsgType::kPlanDiff, diff_payload));
   }
   for (uint32_t i = 0; i < workers_.size(); ++i) {
     if (!workers_[i].alive || !workers_[i].conn_ok) continue;
@@ -684,7 +679,7 @@ Status Coordinator::ExecutePlanDiff(const sim::PlanUpdate& update,
   const double reassigned = MonotonicSeconds();
   for (uint32_t i = 0; i < workers_.size(); ++i) {
     if (!workers_[i].alive || !workers_[i].conn_ok) continue;
-    ROD_RETURN_IF_ERROR(workers_[i].conn.Send(MsgType::kResume, ""));
+    ROD_RETURN_IF_ERROR(SendTo(i, MsgType::kResume, ""));
   }
   const double resumed = MonotonicSeconds();
 
@@ -715,13 +710,23 @@ Status Coordinator::ExecutePlanDiff(const sim::PlanUpdate& update,
   return Status::OK();
 }
 
+void Coordinator::LoseConnection(uint32_t worker) {
+  workers_[worker].conn_ok = false;
+  workers_[worker].conn.Close();
+}
+
+Status Coordinator::SendTo(uint32_t worker, MsgType type,
+                           std::string_view payload) {
+  const Status sent = workers_[worker].conn.Send(type, payload);
+  if (!sent.ok()) LoseConnection(worker);
+  return sent;
+}
+
 Status Coordinator::AwaitFrame(uint32_t worker, MsgType want, Frame* out) {
-  WorkerState& state = workers_[worker];
   for (;;) {
-    const Status recv = state.conn.Recv(out);
+    const Status recv = workers_[worker].conn.Recv(out);
     if (!recv.ok()) {
-      state.conn_ok = false;
-      state.conn.Close();
+      LoseConnection(worker);
       return recv;
     }
     if (out->type == want) return Status::OK();
@@ -737,7 +742,7 @@ Status Coordinator::Finish() {
   for (uint32_t i = 0; i < workers_.size(); ++i) {
     WorkerState& worker = workers_[i];
     if (!worker.alive || !worker.conn_ok) continue;
-    if (!worker.conn.Send(MsgType::kFinish, "").ok()) continue;
+    if (!SendTo(i, MsgType::kFinish, "").ok()) continue;
     Frame frame;
     if (!AwaitFrame(i, MsgType::kFinalStats, &frame).ok()) continue;
     auto stats = StatsReportMsg::Decode(frame.payload);
@@ -746,11 +751,11 @@ Status Coordinator::Finish() {
     worker.have_final = true;
     telemetry_.Count("cluster.final_stats_collected", 1);
   }
-  for (WorkerState& worker : workers_) {
-    if (worker.alive && worker.conn_ok) {
-      (void)worker.conn.Send(MsgType::kShutdown, "");
+  for (uint32_t i = 0; i < workers_.size(); ++i) {
+    if (workers_[i].alive && workers_[i].conn_ok) {
+      (void)SendTo(i, MsgType::kShutdown, "");
     }
-    worker.conn.Close();
+    workers_[i].conn.Close();
   }
   report_.run_seconds = Now();
 

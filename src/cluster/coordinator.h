@@ -2,8 +2,9 @@
 //
 // The cluster coordinator process: accepts worker registrations, runs ROD
 // placement over the registered workers' advertised capacities, ships the
-// serialized plan, starts the workload, monitors liveness off heartbeats,
-// and — when a worker dies — drives the *existing* sim::Supervisor
+// serialized plan, starts the workload, monitors liveness (a lost control
+// connection, or missed heartbeats on one still open), and — when a
+// worker dies — drives the *existing* sim::Supervisor
 // (behind its ControlAgent interface, exactly as the in-process engine
 // does) to compute an incremental repair, then executes it as a plan-diff
 // protocol against the survivors: pause the moved operators, collect
@@ -22,6 +23,7 @@
 #include <mutex>
 #include <ostream>
 #include <string>
+#include <string_view>
 #include <vector>
 
 #include "cluster/clock_sync.h"
@@ -56,7 +58,8 @@ struct CoordinatorOptions {
 
   /// Liveness: workers heartbeat every `heartbeat_interval`; a worker
   /// whose last heartbeat is older than `heartbeat_timeout` is declared
-  /// failed (this is the failure detector's detection delay).
+  /// failed even while its control connection stays open. A lost control
+  /// connection fails the worker without waiting for the deadline.
   double heartbeat_interval = 0.25;
   double heartbeat_timeout = 1.0;
 
@@ -76,9 +79,9 @@ struct CoordinatorOptions {
   /// Initial placement knobs (ROD over the registered capacities).
   place::RodOptions rod;
 
-  /// Repair knobs forwarded to the sim::Supervisor (detection_delay is
-  /// overwritten with `heartbeat_timeout`; telemetry/flight_recorder are
-  /// wired to the coordinator's own plane).
+  /// Repair knobs forwarded to the sim::Supervisor (telemetry and
+  /// flight_recorder are wired to the coordinator's own plane;
+  /// detection_delay is the simulator's and unused here).
   sim::Supervisor::Options supervisor;
 
   /// Observability plane for the coordinator process itself.
@@ -223,7 +226,9 @@ class Coordinator {
     double capacity = 1.0;
     std::string name;
     bool alive = true;
-    bool conn_ok = true;        ///< Control channel still readable.
+    /// False once a send or recv on the control connection failed (see
+    /// LoseConnection); MonitorLoop then fails a live worker at once.
+    bool conn_ok = true;
     double last_heartbeat = 0.0;
     uint64_t plan_version = 0;
     bool have_final = false;
@@ -257,13 +262,21 @@ class Coordinator {
   Status AcceptRegistrations();
   Status BuildAndShipPlan();
   Status StartRun();
+  /// Polls the control connections until the run ends. Its deadline pass
+  /// is the only place a worker is declared failed.
   Status MonitorLoop();
   void HandleHeartbeat(const HeartbeatMsg& hb);
   void HandleWorkerFailure(uint32_t failed, double now);
-  Status ExecutePlanDiff(const sim::PlanUpdate& update, double now);
+  Status ExecutePlanDiff(const sim::PlanUpdate& update);
+  /// Records that `worker`'s control connection is gone: every failed
+  /// send or recv on it ends here. Closes the socket; the verdict is
+  /// left to MonitorLoop.
+  void LoseConnection(uint32_t worker);
+  /// Sends one frame to `worker`; a failure goes through LoseConnection.
+  Status SendTo(uint32_t worker, MsgType type, std::string_view payload);
   /// Reads frames from `worker` until `want` (absorbing heartbeats,
   /// pongs, stats reports, and frozen reports via HandleAsyncFrame);
-  /// kUnavailable if the worker dies first.
+  /// kUnavailable (through LoseConnection) if the worker dies first.
   Status AwaitFrame(uint32_t worker, MsgType want, Frame* out);
   Status Finish();
   void StartHttpPlane();

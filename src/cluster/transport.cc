@@ -45,6 +45,7 @@ Result<FrameConn> FrameConn::DialLoopback(uint16_t port,
                                ": " + error);
   }
   if (timeout_seconds > 0.0) net::SetSocketTimeouts(fd, timeout_seconds);
+  net::SetNoDelay(fd);
   return FrameConn(fd);
 }
 
@@ -67,6 +68,7 @@ Result<FrameConn> FrameListener::Accept(double timeout_seconds) const {
   const int client = net::AcceptConnection(fd_);
   if (client < 0) return Status::Unavailable("accept failed");
   if (timeout_seconds > 0.0) net::SetSocketTimeouts(client, timeout_seconds);
+  net::SetNoDelay(client);
   FrameConn conn(client);
   conn.set_metrics(metrics_);
   return conn;

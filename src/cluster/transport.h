@@ -6,7 +6,10 @@
 // (common/net). Blocking I/O with per-socket timeouts; the worker and
 // coordinator event loops multiplex connections with poll() over the
 // exposed fds and only call Recv() on a readable connection, so the
-// blocking reads never stall the loop beyond one frame.
+// blocking reads never stall the loop beyond one frame. Every dialed and
+// accepted connection sets TCP_NODELAY: a frame is already one write, so
+// Nagle's algorithm has nothing to merge and would only hold the second
+// of two back-to-back frames until the peer's delayed ACK.
 
 #ifndef ROD_CLUSTER_TRANSPORT_H_
 #define ROD_CLUSTER_TRANSPORT_H_

@@ -93,6 +93,11 @@ void SetSocketTimeouts(int fd, double seconds) {
   ::setsockopt(fd, SOL_SOCKET, SO_SNDTIMEO, &timeout, sizeof(timeout));
 }
 
+void SetNoDelay(int fd) {
+  const int one = 1;
+  ::setsockopt(fd, IPPROTO_TCP, TCP_NODELAY, &one, sizeof(one));
+}
+
 bool ReadExactly(int fd, void* buf, size_t len) {
   char* out = static_cast<char*>(buf);
   size_t off = 0;

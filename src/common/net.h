@@ -43,6 +43,10 @@ int ConnectLoopback(uint16_t port, std::string* error = nullptr);
 /// Sets both SO_RCVTIMEO and SO_SNDTIMEO to `seconds` (0 disables).
 void SetSocketTimeouts(int fd, double seconds);
 
+/// Sets TCP_NODELAY, so a small write goes out at once instead of
+/// waiting, under Nagle's algorithm, for the ACK of the previous one.
+void SetNoDelay(int fd);
+
 /// Reads exactly `len` bytes into `buf`, retrying EINTR and short reads.
 /// Returns true on success; false on EOF, timeout, or error (errno is
 /// preserved from the failing read; EOF sets errno to 0).

@@ -1,9 +1,12 @@
 // End-to-end cluster tests with real processes: the coordinator runs in
 // the test process while each worker is fork()ed and runs RunWorker()
-// until shutdown. The chaos case kill -9's one worker mid-run and
-// asserts the full recovery pipeline — missed-heartbeat detection,
-// supervisor-driven plan diff (pause -> drain -> reassign -> resume),
-// survivor completion, and a populated IncidentReport.
+// until shutdown. The chaos cases assert the full recovery pipeline —
+// detection, supervisor-driven plan diff (pause -> drain -> reassign ->
+// resume), survivor completion, and a populated IncidentReport — for
+// both kinds of evidence: a kill -9 loses the control connection, a
+// SIGSTOP leaves it open and only the heartbeat deadline catches it.
+// The chaos cases keep the HTTP plane off, so no worker is forked from
+// a process with live threads.
 
 #include <arpa/inet.h>
 #include <gtest/gtest.h>
@@ -16,6 +19,7 @@
 
 #include <cmath>
 #include <cstdlib>
+#include <functional>
 #include <sstream>
 #include <string>
 #include <thread>
@@ -128,6 +132,72 @@ int WaitFor(pid_t pid) {
   return wstatus;
 }
 
+uint64_t FailuresDetected(Coordinator& coordinator) {
+  const telemetry::MetricsSnapshot snap = coordinator.telemetry().Snapshot();
+  const auto it = snap.counters.find("cluster.failures_detected");
+  return it == snap.counters.end() ? 0 : it->second;
+}
+
+void ExpectSurvivorsReported(const ClusterReport& report, size_t survivors) {
+  size_t alive = 0, finals = 0;
+  for (const auto& worker : report.workers) {
+    alive += worker.alive ? 1 : 0;
+    finals += worker.final_stats ? 1 : 0;
+  }
+  EXPECT_EQ(alive, survivors);
+  EXPECT_EQ(finals, survivors);
+}
+
+/// Runs a four-worker cluster while `lose_two`, on its own thread 1.2 s
+/// into the run, SIGKILLs workers[0] and workers[1]. Both losses must
+/// end up in one recovered incident whose plan went live less than a
+/// heartbeat timeout after detection, with the other two workers
+/// finishing cleanly. Returns the incident's JSON.
+std::string RunLosingTwoOfFour(
+    const std::function<void(const std::vector<pid_t>&, Coordinator&)>&
+        lose_two) {
+  CoordinatorOptions options = FastOptions();
+  options.expected_workers = 4;
+  options.duration = 3.0;
+  Coordinator coordinator(TestGraph(), options);
+  if (!coordinator.Listen().ok()) {
+    ADD_FAILURE() << "coordinator could not listen";
+    return "";
+  }
+
+  std::vector<pid_t> workers;
+  for (int i = 0; i < 4; ++i) workers.push_back(SpawnWorker(coordinator.port()));
+  std::thread killer([&] {
+    std::this_thread::sleep_for(std::chrono::milliseconds(1200));
+    lose_two(workers, coordinator);
+  });
+  const Status run = coordinator.Run();
+  killer.join();
+  EXPECT_TRUE(run.ok()) << run.ToString();
+  for (size_t k = 0; k < workers.size(); ++k) {
+    const int wstatus = WaitFor(workers[k]);
+    if (k < 2) {
+      EXPECT_TRUE(WIFSIGNALED(wstatus) && WTERMSIG(wstatus) == SIGKILL);
+    } else {
+      EXPECT_TRUE(WIFEXITED(wstatus) && WEXITSTATUS(wstatus) == 0);
+    }
+  }
+
+  // A diff counts only once it leaves no operator on either dead worker,
+  // whichever failure triggered it.
+  const ClusterReport& report = coordinator.report();
+  EXPECT_TRUE(report.had_incident);
+  EXPECT_TRUE(report.incident.recovered);
+  EXPECT_LT(report.incident.plan_applied_time - report.incident.detect_time,
+            options.heartbeat_timeout);
+  EXPECT_EQ(FailuresDetected(coordinator), 2u);
+  ExpectSurvivorsReported(report, 2);
+  const std::vector<std::string> incidents =
+      coordinator.flight_recorder().IncidentJsons();
+  EXPECT_EQ(incidents.size(), 1u);
+  return incidents.empty() ? "" : incidents[0];
+}
+
 TEST(ClusterE2eTest, ThreeWorkerRunCompletesAndAggregates) {
   Coordinator coordinator(TestGraph(), FastOptions());
   ASSERT_TRUE(coordinator.Listen().ok());
@@ -184,6 +254,10 @@ TEST(ClusterE2eTest, FederatedMetricsAgreeWithWorkerPlanes) {
   ASSERT_TRUE(coordinator.Listen().ok());
   const uint16_t http_port = coordinator.http_port();
   ASSERT_NE(http_port, 0);
+  // The HTTP thread is live, and fork() copies every lock as it stands.
+  // Once it has served a request it is parked in poll() holding none, so
+  // no worker inherits a held allocator lock from the thread's start-up.
+  ASSERT_FALSE(HttpBody(HttpGet(http_port, "/healthz")).empty());
 
   std::vector<pid_t> workers;
   for (int i = 0; i < 3; ++i) {
@@ -329,13 +403,12 @@ TEST(ClusterE2eTest, KillNineMidRunDetectsRepairsAndCompletes) {
   ASSERT_TRUE(report.had_incident);
   const sim::IncidentReport& incident = report.incident;
 
-  // Detection came from the heartbeat deadline: the gap between the last
-  // proof of life and detection is at least the timeout and not wildly
-  // more (generous slack for loaded CI machines).
+  // Detection came from the lost control connection: the kernel closes
+  // a killed process's sockets, so the verdict lands before the
+  // heartbeat deadline could have lapsed.
   EXPECT_GE(incident.detect_time, incident.crash_time);
   const double detection_delay = incident.detect_time - incident.crash_time;
-  EXPECT_GE(detection_delay, options.heartbeat_timeout * 0.9);
-  EXPECT_LT(detection_delay, options.heartbeat_timeout + 5.0);
+  EXPECT_LT(detection_delay, options.heartbeat_timeout);
 
   // The supervisor re-homed the victim's operators via the plan-diff
   // protocol and the plan version advanced.
@@ -345,13 +418,7 @@ TEST(ClusterE2eTest, KillNineMidRunDetectsRepairsAndCompletes) {
   EXPECT_GE(report.plan_version, 2u);
 
   // Exactly one worker died; the survivors reported final stats.
-  size_t alive = 0, finals = 0;
-  for (const auto& worker : report.workers) {
-    alive += worker.alive ? 1 : 0;
-    finals += worker.final_stats ? 1 : 0;
-  }
-  EXPECT_EQ(alive, 2u);
-  EXPECT_EQ(finals, 2u);
+  ExpectSurvivorsReported(report, 2);
 
   // The cluster kept delivering after repair, and the loss breakdown is
   // populated consistently (ships to the dead peer during the detection
@@ -364,7 +431,7 @@ TEST(ClusterE2eTest, KillNineMidRunDetectsRepairsAndCompletes) {
   EXPECT_LE(incident.availability, 1.0);
 
   // The repair's phase clocks were captured: detection delay matches the
-  // heartbeat deadline math above, and every phase has a sane duration.
+  // incident's, and every phase has a sane duration.
   ASSERT_TRUE(report.phases.valid);
   EXPECT_NEAR(report.phases.detect_seconds, detection_delay, 1e-9);
   EXPECT_GE(report.phases.pause_drain_seconds, 0.0);
@@ -391,6 +458,80 @@ TEST(ClusterE2eTest, KillNineMidRunDetectsRepairsAndCompletes) {
   ASSERT_EQ(incidents.size(), 1u);
   EXPECT_NE(incidents[0].find("\"phases\""), std::string::npos);
   EXPECT_NE(incidents[0].find("\"worker_snapshots\""), std::string::npos);
+  EXPECT_NE(incidents[0].find("control connection lost"), std::string::npos);
+}
+
+TEST(ClusterE2eTest, SigstopMidRunDetectedByHeartbeatDeadline) {
+  CoordinatorOptions options = FastOptions();
+  options.duration = 3.0;
+  Coordinator coordinator(TestGraph(), options);
+  ASSERT_TRUE(coordinator.Listen().ok());
+
+  std::vector<pid_t> workers;
+  for (int i = 0; i < 3; ++i) workers.push_back(SpawnWorker(coordinator.port()));
+
+  // A stopped process keeps its sockets open, so no EOF reaches the
+  // coordinator: only the heartbeat deadline can catch it.
+  std::thread stopper([&workers] {
+    std::this_thread::sleep_for(std::chrono::milliseconds(1200));
+    ::kill(workers[0], SIGSTOP);
+  });
+
+  const Status run = coordinator.Run();
+  stopper.join();
+  ::kill(workers[0], SIGKILL);
+  const int victim_status = WaitFor(workers[0]);
+  EXPECT_TRUE(run.ok()) << run.ToString();
+  EXPECT_TRUE(WIFSIGNALED(victim_status) &&
+              WTERMSIG(victim_status) == SIGKILL);
+  for (size_t k = 1; k < workers.size(); ++k) {
+    const int wstatus = WaitFor(workers[k]);
+    EXPECT_TRUE(WIFEXITED(wstatus) && WEXITSTATUS(wstatus) == 0);
+  }
+
+  const ClusterReport& report = coordinator.report();
+  ASSERT_TRUE(report.had_incident);
+  const sim::IncidentReport& incident = report.incident;
+  // The deadline, not the socket, issued the verdict: the gap between
+  // the last proof of life and detection is at least the timeout and not
+  // wildly more (generous slack for loaded CI machines).
+  const double detection_delay = incident.detect_time - incident.crash_time;
+  EXPECT_GE(detection_delay, options.heartbeat_timeout * 0.9);
+  EXPECT_LT(detection_delay, options.heartbeat_timeout + 5.0);
+  EXPECT_TRUE(incident.recovered);
+  EXPECT_GT(incident.operators_moved, 0u);
+  ExpectSurvivorsReported(report, 2);
+
+  const std::vector<std::string> incidents =
+      coordinator.flight_recorder().IncidentJsons();
+  ASSERT_EQ(incidents.size(), 1u);
+  EXPECT_NE(incidents[0].find("missed heartbeats"), std::string::npos);
+}
+
+TEST(ClusterE2eTest, TwoWorkersKilledAtOnceRecoverInOneIncident) {
+  RunLosingTwoOfFour([](const std::vector<pid_t>& workers, Coordinator&) {
+    ::kill(workers[0], SIGKILL);
+    ::kill(workers[1], SIGKILL);
+  });
+}
+
+TEST(ClusterE2eTest, LossDuringRepairIsRepairedInTheSameIncident) {
+  // The second loss lands inside the first repair: workers[1] is stopped
+  // before workers[0] dies, so the repair's diff waits on its pause ack,
+  // and it is killed only once the first failure has been declared.
+  const std::string incident = RunLosingTwoOfFour(
+      [](const std::vector<pid_t>& workers, Coordinator& coordinator) {
+        ::kill(workers[1], SIGSTOP);
+        ::kill(workers[0], SIGKILL);
+        for (int waited_ms = 0; waited_ms < 5000; ++waited_ms) {
+          if (FailuresDetected(coordinator) > 0) break;
+          std::this_thread::sleep_for(std::chrono::milliseconds(1));
+        }
+        ::kill(workers[1], SIGKILL);
+      });
+  // The first diff failed on the second loss; the next one re-homed the
+  // operators of both and ended the incident.
+  EXPECT_NE(incident.find("plan diff failed"), std::string::npos);
 }
 
 TEST(ClusterE2eTest, CoordinatorTimesOutWhenWorkersNeverRegister) {

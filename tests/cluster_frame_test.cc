@@ -7,6 +7,9 @@
 #include "cluster/frame.h"
 
 #include <gtest/gtest.h>
+#include <netinet/in.h>
+#include <netinet/tcp.h>
+#include <sys/socket.h>
 #include <unistd.h>
 
 #include <cstddef>
@@ -174,6 +177,13 @@ TEST(ClusterFrameTest, TruncatedFrameOverSocketIsUnavailable) {
   EXPECT_EQ(server->Recv(&frame).code(), StatusCode::kUnavailable);
 }
 
+bool NoDelaySet(int fd) {
+  int value = 0;
+  socklen_t len = sizeof(value);
+  return ::getsockopt(fd, IPPROTO_TCP, TCP_NODELAY, &value, &len) == 0 &&
+         value != 0;
+}
+
 TEST(ClusterFrameTest, SocketRoundTripThroughTransport) {
   FrameListener listener;
   ASSERT_TRUE(listener.Listen(0).ok());
@@ -181,6 +191,10 @@ TEST(ClusterFrameTest, SocketRoundTripThroughTransport) {
   ASSERT_TRUE(client.ok());
   auto server = listener.Accept();
   ASSERT_TRUE(server.ok());
+  // Both ends send each frame at once: Nagle would hold the second of
+  // two back-to-back frames until the peer's delayed ACK.
+  EXPECT_TRUE(NoDelaySet(client->fd()));
+  EXPECT_TRUE(NoDelaySet(server->fd()));
 
   ASSERT_TRUE(client->Send(MsgType::kPlan, "the plan").ok());
   ASSERT_TRUE(client->Send(MsgType::kStart, "").ok());

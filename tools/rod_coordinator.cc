@@ -1,9 +1,9 @@
 // rod-coordinator: the cluster control process. Waits for N workers to
 // register on the control port, runs ROD placement over their advertised
 // capacities, ships the serialized plan, starts the workload, monitors
-// heartbeats, repairs worker failures via the plan-diff protocol, and
-// writes an end-of-run cluster report (plus the incident flight-recorder
-// artifact when a worker died mid-run).
+// liveness (control connections and heartbeats), repairs worker failures
+// via the plan-diff protocol, and writes an end-of-run cluster report
+// (plus the incident flight-recorder artifact when a worker died mid-run).
 //
 //   $ ./build/tools/rod_coordinator --port 7341 --workers 3 \
 //         --duration 3 --report report.json --flightrecorder fr.json
@@ -34,7 +34,7 @@ int Usage(const char* argv0) {
       "  --rate R              tuples/sec per input stream (default 200)\n"
       "  --seed S              workload seed (default 1)\n"
       "  --heartbeat-interval S  worker heartbeat cadence (default 0.25)\n"
-      "  --heartbeat-timeout S   failure-detection timeout (default 1.0)\n"
+      "  --heartbeat-timeout S   deadline for a silent worker (default 1.0)\n"
       "  --register-timeout S  registration deadline (default 30)\n"
       "  --graph FILE          textual query graph (default: generated)\n"
       "  --gen-streams D       generated workload input streams (default 3)\n"
