@@ -22,6 +22,9 @@ double MonotonicSeconds() {
       .count();
 }
 
+/// Ping rounds between plan ship and kStart (min-RTT needs a few).
+constexpr int kClockSyncRounds = 4;
+
 void AddCounters(WorkerCounters& into, const WorkerCounters& from) {
   into.generated += from.generated;
   into.processed += from.processed;
@@ -152,7 +155,7 @@ Status Coordinator::Run() {
   ROD_RETURN_IF_ERROR(Listen());
   ROD_RETURN_IF_ERROR(AcceptRegistrations());
   ROD_RETURN_IF_ERROR(BuildAndShipPlan());
-  ROD_RETURN_IF_ERROR(SyncClocks(options_.clock_sync_rounds));
+  ROD_RETURN_IF_ERROR(SyncClocks());
   ROD_RETURN_IF_ERROR(StartRun());
   ROD_RETURN_IF_ERROR(MonitorLoop());
   const Status finished = Finish();
@@ -181,7 +184,7 @@ Status Coordinator::AcceptRegistrations() {
     }
     if (fds[1].revents == 0) continue;
 
-    auto conn = listener_.Accept(options_.ack_timeout);
+    auto conn = listener_.Accept(options_.heartbeat_timeout);
     if (!conn.ok()) continue;
     Frame frame;
     if (!conn->Recv(&frame).ok() || frame.type != MsgType::kHello) continue;
@@ -266,19 +269,11 @@ Status Coordinator::BuildAndShipPlan() {
     plan.endpoints.push_back({i, workers_[i].data_port});
   }
   plan.source_owner = source_owner_;
-  const std::string payload = plan.Encode();
 
   const double ship_begin = MonotonicSeconds();
-  for (uint32_t i = 0; i < workers_.size(); ++i) {
-    ROD_RETURN_IF_ERROR(SendTo(i, MsgType::kPlan, payload));
-  }
-  for (uint32_t i = 0; i < workers_.size(); ++i) {
-    Frame frame;
-    ROD_RETURN_IF_ERROR(AwaitFrame(i, MsgType::kPlanAck, &frame));
-    auto ack = PlanAckMsg::Decode(frame.payload);
-    if (!ack.ok()) return ack.status();
-    workers_[i].plan_version = ack->version;
-  }
+  ROD_RETURN_IF_ERROR(
+      AwaitAcks(Broadcast(MsgType::kPlan, plan.Encode(),
+                          PendingAck{MsgType::kPlanAck, plan_version_})));
   report_.plan_ship_seconds = MonotonicSeconds() - ship_begin;
   report_.plan_version = plan_version_;
   telemetry_.Count("cluster.plan_ships", 1);
@@ -289,45 +284,27 @@ Status Coordinator::BuildAndShipPlan() {
   return Status::OK();
 }
 
-Status Coordinator::SyncClocks(size_t rounds) {
+Status Coordinator::SyncClocks() {
   ROD_TRACE_SPAN(&telemetry_, "cluster", "clock.sync");
-  for (size_t round = 0; round < rounds; ++round) {
-    for (uint32_t i = 0; i < workers_.size(); ++i) {
-      if (!workers_[i].alive || !workers_[i].conn_ok) continue;
-      PingMsg ping;
-      ping.seq = ++ping_seq_;
-      ping.t1_us = telemetry_.NowMicros();
-      ROD_RETURN_IF_ERROR(SendTo(i, MsgType::kPing, ping.Encode()));
-      Frame frame;
-      ROD_RETURN_IF_ERROR(AwaitFrame(i, MsgType::kPong, &frame));
-      const double t4 = telemetry_.NowMicros();
-      auto pong = PongMsg::Decode(frame.payload);
-      if (!pong.ok()) return pong.status();
-      clock_sync_[i].AddSample({pong->t1_us, pong->t2_us, pong->t3_us, t4});
-      PublishClockEstimate(i);
-    }
+  for (int round = 0; round < kClockSyncRounds; ++round) {
+    ROD_RETURN_IF_ERROR(AwaitAcks(SendPings()));
   }
   BroadcastClockSync();
   return Status::OK();
 }
 
-void Coordinator::SendPings(double now) {
-  next_ping_ = now + std::max(0.05, options_.clock_sync_interval);
-  if (clock_dirty_) BroadcastClockSync();
+std::vector<uint32_t> Coordinator::SendPings() {
+  std::vector<uint32_t> pinged;
   for (uint32_t i = 0; i < workers_.size(); ++i) {
     if (!workers_[i].alive || !workers_[i].conn_ok) continue;
     PingMsg ping;
     ping.seq = ++ping_seq_;
-    ping.t1_us = telemetry_.NowMicros();
+    ping.t1_us = telemetry_.NowMicros();  // Per worker: t1 is its send.
+    workers_[i].pending = PendingAck{MsgType::kPong};
     (void)SendTo(i, MsgType::kPing, ping.Encode());
+    pinged.push_back(i);
   }
-}
-
-void Coordinator::HandlePong(uint32_t worker, const PongMsg& pong) {
-  const double t4 = telemetry_.NowMicros();
-  if (worker >= clock_sync_.size()) return;
-  clock_sync_[worker].AddSample({pong.t1_us, pong.t2_us, pong.t3_us, t4});
-  PublishClockEstimate(worker);
+  return pinged;
 }
 
 void Coordinator::PublishClockEstimate(uint32_t i) {
@@ -360,11 +337,7 @@ void Coordinator::BroadcastClockSync() {
         {i, clock_sync_[i].offset_us(), clock_sync_[i].rtt_us()});
   }
   if (msg.entries.empty()) return;
-  const std::string payload = msg.Encode();
-  for (uint32_t i = 0; i < workers_.size(); ++i) {
-    if (!workers_[i].alive || !workers_[i].conn_ok) continue;
-    (void)SendTo(i, MsgType::kClockSync, payload);
-  }
+  Broadcast(MsgType::kClockSync, msg.Encode());
   clock_dirty_ = false;
   telemetry_.Count("cluster.clock_syncs_sent", 1);
 }
@@ -382,7 +355,6 @@ Status Coordinator::StartRun() {
   }
   started_ = true;
   run_epoch_ = MonotonicSeconds();
-  for (WorkerState& worker : workers_) worker.last_heartbeat = 0.0;
   next_ping_ = std::max(0.05, options_.clock_sync_interval);
   return Status::OK();
 }
@@ -390,89 +362,68 @@ Status Coordinator::StartRun() {
 Status Coordinator::MonitorLoop() {
   const double finish_at = options_.duration + options_.finish_grace;
   for (;;) {
-    std::vector<pollfd> fds;
-    fds.push_back({stop_pipe_.read_fd(), POLLIN, 0});
-    std::vector<uint32_t> polled;  // Worker id per fds[1+k].
-    for (uint32_t i = 0; i < workers_.size(); ++i) {
-      if (workers_[i].alive && workers_[i].conn_ok) {
-        fds.push_back({workers_[i].conn.fd(), POLLIN, 0});
-        polled.push_back(i);
-      }
-    }
-
-    double wait = finish_at - Now();
-    if (wait <= 0.0) return Status::OK();
-    // Wake at least every half heartbeat interval to check deadlines.
-    wait = std::min(wait, options_.heartbeat_interval * 0.5);
-    const int ready = ::poll(fds.data(), fds.size(),
-                             static_cast<int>(std::ceil(wait * 1000.0)));
-    if (ready < 0 && errno != EINTR) return Status::Internal("poll failed");
-    if (ready > 0) {
-      if (fds[0].revents != 0) return Status::OK();  // RequestStop().
-      for (size_t k = 0; k < polled.size(); ++k) {
-        if (fds[1 + k].revents == 0) continue;
-        const uint32_t i = polled[k];
-        Frame frame;
-        if (!workers_[i].conn.Recv(&frame).ok()) {
-          LoseConnection(i);
-          continue;
-        }
-        HandleAsyncFrame(i, frame);
-      }
-    }
-
-    // The only place verdicts are issued. A lost control connection is
-    // final: no heartbeat can arrive on it again, so the worker fails now.
-    // The deadline catches a worker that goes silent with its socket
-    // still open (stopped, hung).
     const double now = Now();
-    if (now >= next_ping_) SendPings(now);
-    for (uint32_t i = 0; i < workers_.size(); ++i) {
-      if (!workers_[i].alive) continue;
-      if (!workers_[i].conn_ok ||
-          now - workers_[i].last_heartbeat > options_.heartbeat_timeout) {
-        HandleWorkerFailure(i, now);
-      }
+    // A verdict makes its repair due at once: kill-to-plan-live is a few
+    // ms, against an idle wake of half a heartbeat interval.
+    if (repair_at_ >= 0.0 && now >= repair_at_) {
+      Repair(now);
+      continue;
     }
-    if (retry_at_ >= 0.0 && now >= retry_at_) {
-      const uint32_t node = retry_node_;
-      retry_at_ = -1.0;
-      HandleWorkerFailure(node, now);
+    if (stop_requested_ || now >= finish_at) return Status::OK();
+    if (now >= next_ping_) {
+      next_ping_ = now + std::max(0.05, options_.clock_sync_interval);
+      if (clock_dirty_) BroadcastClockSync();
+      SendPings();  // Pongs are read by Step; no one waits for them.
     }
+    ROD_RETURN_IF_ERROR(
+        Step(std::min(finish_at - now, options_.heartbeat_interval * 0.5)));
   }
 }
 
-void Coordinator::HandleHeartbeat(const HeartbeatMsg& hb) {
-  if (hb.worker_id >= workers_.size()) return;
-  WorkerState& worker = workers_[hb.worker_id];
-  worker.last_heartbeat = Now();
-  worker.plan_version = hb.plan_version;
-  telemetry_.Count("cluster.heartbeats_received", 1);
-
-  // Surface the per-operator load report as live coordinator gauges
-  // (each operator is hosted by exactly one worker, so plain op-keyed
-  // names cannot collide across workers).
-  for (const HeartbeatMsg::OpLoad& load : hb.loads) {
-    const std::string op = std::to_string(load.op);
-    telemetry_.SetGauge("cluster.op_processed." + op,
-                        static_cast<double>(load.processed));
-    telemetry_.SetGauge("cluster.op_busy_seconds." + op, load.busy_seconds);
+Status Coordinator::Step(double wait) {
+  // fds[1 + i] is worker i; poll() skips a closed connection's fd of -1.
+  std::vector<pollfd> fds = {{stop_pipe_.read_fd(), POLLIN, 0}};
+  for (const WorkerState& w : workers_) {
+    fds.push_back({w.conn.fd(), POLLIN, 0});
+    if (started_ && w.alive && !w.conn_ok) wait = 0.0;  // Judge it now.
   }
-
-  std::lock_guard<std::mutex> lock(obs_mu_);
-  if (hb.worker_id < obs_.size()) {
-    WorkerObs& o = obs_[hb.worker_id];
-    o.plan_version = hb.plan_version;
-    o.last_seen_us = telemetry_.NowMicros();
-    o.queue_depth = hb.queue_depth;
-    o.loads = hb.loads;
+  const int ready = ::poll(fds.data(), fds.size(),
+                           static_cast<int>(std::ceil(wait * 1000.0)));
+  if (ready < 0 && errno != EINTR) return Status::Internal("poll failed");
+  if (ready > 0 && fds[0].revents != 0) {  // RequestStop(): wind down.
+    stop_pipe_.Drain();
+    stop_requested_ = true;
   }
+  for (uint32_t i = 0; ready > 0 && i < workers_.size(); ++i) {
+    if (fds[1 + i].revents == 0) continue;
+    Frame frame;
+    if (workers_[i].conn.Recv(&frame).ok()) {
+      HandleFrame(i, frame);
+    } else {
+      LoseConnection(i);
+    }
+  }
+  if (!started_) return Status::OK();
+
+  // The only place verdicts are issued. A lost control connection is
+  // final: no heartbeat can arrive on it again, so the worker fails now.
+  // The deadline catches a worker that goes silent with its socket
+  // still open (stopped, hung).
+  const double now = Now();
+  for (uint32_t i = 0; i < workers_.size(); ++i) {
+    const WorkerState& w = workers_[i];
+    if (w.alive && (!w.conn_ok || now - w.last_heartbeat >
+                                      options_.heartbeat_timeout)) {
+      FailWorker(i, now);
+    }
+  }
+  return Status::OK();
 }
 
-void Coordinator::HandleStatsReport(const StatsReportMsg& report) {
+void Coordinator::HandleStatsReport(uint32_t worker,
+                                    const StatsReportMsg& report) {
   std::lock_guard<std::mutex> lock(obs_mu_);
-  if (report.worker_id >= obs_.size()) return;
-  WorkerObs& o = obs_[report.worker_id];
+  WorkerObs& o = obs_[worker];
   // Values are cumulative, so overwrite-merge reconstructs the worker's
   // registry; a lost delta self-heals on the next report of the family.
   for (const auto& [name, value] : report.counters) {
@@ -492,40 +443,84 @@ void Coordinator::HandleStatsReport(const StatsReportMsg& report) {
   }
 }
 
-void Coordinator::HandleFrozenReport(const FrozenReportMsg& report) {
-  telemetry_.Count("cluster.frozen_reports_received", 1);
-  if (report.incident_json.empty()) return;
-  const auto [it, inserted] =
-      frozen_reports_.emplace(report.worker_id, report.incident_json);
-  (void)it;
-  if (!inserted) return;
-  report_.frozen_workers.push_back(report.worker_id);
-  flight_recorder_.Note("frozen snapshot received from worker " +
-                        std::to_string(report.worker_id));
-}
-
-void Coordinator::HandleAsyncFrame(uint32_t worker, const Frame& frame) {
+void Coordinator::HandleFrame(uint32_t worker, const Frame& frame) {
+  // Every payload names its sender. One naming another worker must not
+  // refresh that worker's liveness or overwrite its registry.
+  const auto from_sender = [&](uint32_t named) {
+    if (named == worker) return true;
+    telemetry_.Count("cluster.unexpected_frames", 1);
+    return false;
+  };
+  // Clears the pending reply this frame answers; a stale one is ignored.
+  const auto settle = [&](uint64_t version) {
+    std::optional<PendingAck>& pending = workers_[worker].pending;
+    if (pending == PendingAck{frame.type, version}) pending.reset();
+  };
   switch (frame.type) {
     case MsgType::kHeartbeat: {
       auto hb = HeartbeatMsg::Decode(frame.payload);
-      if (hb.ok()) HandleHeartbeat(*hb);
+      if (!hb.ok() || !from_sender(hb->worker_id)) break;
+      workers_[worker].last_heartbeat = Now();
+      telemetry_.Count("cluster.heartbeats_received", 1);
+      // Surface the per-operator load report as live coordinator gauges
+      // (each operator is hosted by exactly one worker, so plain op-keyed
+      // names cannot collide across workers).
+      for (const HeartbeatMsg::OpLoad& load : hb->loads) {
+        const std::string op = std::to_string(load.op);
+        telemetry_.SetGauge("cluster.op_processed." + op,
+                            static_cast<double>(load.processed));
+        telemetry_.SetGauge("cluster.op_busy_seconds." + op,
+                            load.busy_seconds);
+      }
+      std::lock_guard<std::mutex> lock(obs_mu_);
+      WorkerObs& o = obs_[worker];
+      o.plan_version = hb->plan_version;
+      o.last_seen_us = telemetry_.NowMicros();
+      o.queue_depth = hb->queue_depth;
+      o.loads = hb->loads;
       break;
     }
     case MsgType::kPong: {
+      const double t4 = telemetry_.NowMicros();
       auto pong = PongMsg::Decode(frame.payload);
-      if (pong.ok()) HandlePong(worker, *pong);
+      if (!pong.ok() || !from_sender(pong->worker_id)) break;
+      clock_sync_[worker].AddSample(
+          {pong->t1_us, pong->t2_us, pong->t3_us, t4});
+      PublishClockEstimate(worker);
+      settle(0);
       break;
     }
-    case MsgType::kStatsReport: {
+    case MsgType::kStatsReport:
+    case MsgType::kFinalStats: {
       auto report = StatsReportMsg::Decode(frame.payload);
-      if (!report.ok()) break;
-      telemetry_.Count("cluster.stats_reports_received", 1);
-      HandleStatsReport(*report);
+      if (!report.ok() || !from_sender(report->worker_id)) break;
+      HandleStatsReport(worker, *report);
+      if (frame.type == MsgType::kStatsReport) {
+        telemetry_.Count("cluster.stats_reports_received", 1);
+        break;
+      }
+      workers_[worker].have_final = true;
+      telemetry_.Count("cluster.final_stats_collected", 1);
+      settle(0);
       break;
     }
     case MsgType::kFrozenReport: {
       auto report = FrozenReportMsg::Decode(frame.payload);
-      if (report.ok()) HandleFrozenReport(*report);
+      if (!report.ok() || !from_sender(report->worker_id)) break;
+      telemetry_.Count("cluster.frozen_reports_received", 1);
+      if (report->incident_json.empty() ||
+          !frozen_reports_.emplace(worker, report->incident_json).second) {
+        break;
+      }
+      report_.frozen_workers.push_back(worker);
+      flight_recorder_.Note("frozen snapshot received from worker " +
+                            std::to_string(worker));
+      break;
+    }
+    case MsgType::kPauseAck:
+    case MsgType::kPlanAck: {
+      auto ack = PlanAckMsg::Decode(frame.payload);
+      if (ack.ok() && from_sender(ack->worker_id)) settle(ack->version);
       break;
     }
     default:
@@ -534,60 +529,54 @@ void Coordinator::HandleAsyncFrame(uint32_t worker, const Frame& frame) {
   }
 }
 
-void Coordinator::BroadcastFreeze(uint64_t incident_id,
-                                  const std::string& kind,
-                                  const std::string& detail) {
-  FreezeMsg freeze;
-  freeze.incident_id = incident_id;
-  freeze.kind = kind;
-  freeze.detail = detail;
-  const std::string payload = freeze.Encode();
-  for (uint32_t i = 0; i < workers_.size(); ++i) {
-    if (!workers_[i].alive || !workers_[i].conn_ok) continue;
-    (void)SendTo(i, MsgType::kFreeze, payload);
+void Coordinator::FailWorker(uint32_t failed, double now) {
+  WorkerState& worker = workers_[failed];
+  // The verdict names its evidence.
+  const std::string detail =
+      worker.name + ": " +
+      (worker.conn_ok ? "missed heartbeats for " +
+                            std::to_string(options_.heartbeat_timeout) + "s"
+                      : "control connection lost");
+  worker.alive = false;
+  LoseConnection(failed);
+  telemetry_.Count("cluster.failures_detected", 1);
+  size_t alive = 0;
+  for (const WorkerState& w : workers_) alive += w.alive ? 1 : 0;
+  telemetry_.SetGauge("cluster.workers_alive", static_cast<double>(alive));
+  {
+    std::lock_guard<std::mutex> lock(obs_mu_);
+    obs_[failed].alive = false;
   }
-  telemetry_.Count("cluster.freezes_broadcast", 1);
+  if (!report_.had_incident) {
+    // The run's first incident: freeze pre-incident state and start the
+    // engine-schema report. The true crash instant is unobservable from
+    // outside the dead process; the last proof of life bounds it.
+    report_.had_incident = true;
+    report_.incident.crash_time = worker.last_heartbeat;
+    report_.incident.failed_node = failed;
+    report_.incident.detect_time = now;
+    report_.phases.detect_seconds = now - worker.last_heartbeat;
+    flight_recorder_.BeginIncident("cluster.worker_failure", detail);
+    // Order every survivor to freeze its own rings at (about) this same
+    // aligned instant; their kFrozenReport replies land in the incident
+    // report's worker_snapshots.
+    FreezeMsg freeze;
+    freeze.incident_id = ++incident_id_;
+    freeze.kind = "cluster.worker_failure";
+    freeze.detail = detail;
+    Broadcast(MsgType::kFreeze, freeze.Encode());
+    telemetry_.Count("cluster.freezes_broadcast", 1);
+  }
+  flight_recorder_.Note("failure detected: worker " + std::to_string(failed) +
+                        " (" + detail + ")");
+  // Due even mid-repair: that diff has just lost a participant and
+  // aborts, and the next repair re-plans without it.
+  repair_at_ = now;
+  repair_node_ = failed;
 }
 
-void Coordinator::HandleWorkerFailure(uint32_t failed, double now) {
-  WorkerState& worker = workers_[failed];
-  if (worker.alive) {
-    // The verdict names its evidence.
-    const std::string detail =
-        worker.name + ": " +
-        (worker.conn_ok ? "missed heartbeats for " +
-                              std::to_string(options_.heartbeat_timeout) + "s"
-                        : "control connection lost");
-    worker.alive = false;
-    LoseConnection(failed);
-    telemetry_.Count("cluster.failures_detected", 1);
-    size_t alive = 0;
-    for (const WorkerState& w : workers_) alive += w.alive ? 1 : 0;
-    telemetry_.SetGauge("cluster.workers_alive",
-                        static_cast<double>(alive));
-    {
-      std::lock_guard<std::mutex> lock(obs_mu_);
-      if (failed < obs_.size()) obs_[failed].alive = false;
-    }
-    if (!report_.had_incident) {
-      // The run's first incident: freeze pre-incident state and start the
-      // engine-schema report. The true crash instant is unobservable from
-      // outside the dead process; the last proof of life bounds it.
-      report_.had_incident = true;
-      report_.incident.crash_time = worker.last_heartbeat;
-      report_.incident.failed_node = failed;
-      report_.incident.detect_time = now;
-      report_.phases.detect_seconds = now - worker.last_heartbeat;
-      flight_recorder_.BeginIncident("cluster.worker_failure", detail);
-      // Order every survivor to freeze its own rings at (about) this same
-      // aligned instant; their kFrozenReport replies land in the incident
-      // report's worker_snapshots.
-      BroadcastFreeze(++incident_id_, "cluster.worker_failure", detail);
-    }
-    flight_recorder_.Note("failure detected: worker " +
-                          std::to_string(failed) + " (" + detail + ")");
-  }
-
+void Coordinator::Repair(double now) {
+  repair_at_ = -1.0;
   // A worker whose connection is already lost is never a repair target.
   std::vector<bool> node_up;
   node_up.reserve(workers_.size());
@@ -596,12 +585,11 @@ void Coordinator::HandleWorkerFailure(uint32_t failed, double now) {
   }
 
   auto update =
-      supervisor_->OnFailureDetected(now, failed, node_up, deployment_);
+      supervisor_->OnFailureDetected(now, repair_node_, node_up, deployment_);
   if (!update.has_value()) {
     const double delay = supervisor_->RepairRetryDelay();
     if (delay > 0.0) {
-      retry_at_ = now + delay;
-      retry_node_ = failed;
+      repair_at_ = now + delay;
       flight_recorder_.Note("repair failed; retrying in " +
                             std::to_string(delay) + "s");
     } else {
@@ -647,16 +635,9 @@ Status Coordinator::ExecutePlanDiff(const sim::PlanUpdate& update) {
   PauseMsg pause;
   pause.plan_version = plan_version_;
   for (const OperatorMove& move : moves) pause.ops.push_back(move.op);
-  const std::string pause_payload = pause.Encode();
-  for (uint32_t i = 0; i < workers_.size(); ++i) {
-    if (!workers_[i].alive || !workers_[i].conn_ok) continue;
-    ROD_RETURN_IF_ERROR(SendTo(i, MsgType::kPause, pause_payload));
-  }
-  for (uint32_t i = 0; i < workers_.size(); ++i) {
-    if (!workers_[i].alive || !workers_[i].conn_ok) continue;
-    Frame frame;
-    ROD_RETURN_IF_ERROR(AwaitFrame(i, MsgType::kPauseAck, &frame));
-  }
+  ROD_RETURN_IF_ERROR(
+      AwaitAcks(Broadcast(MsgType::kPause, pause.Encode(),
+                          PendingAck{MsgType::kPauseAck, plan_version_})));
   const double drained = MonotonicSeconds();
   flight_recorder_.Note("paused " + std::to_string(moves.size()) +
                         " operators; drain confirmed");
@@ -664,23 +645,11 @@ Status Coordinator::ExecutePlanDiff(const sim::PlanUpdate& update) {
   PlanDiffMsg diff;
   diff.version = plan_version_;
   diff.moves = moves;
-  const std::string diff_payload = diff.Encode();
-  for (uint32_t i = 0; i < workers_.size(); ++i) {
-    if (!workers_[i].alive || !workers_[i].conn_ok) continue;
-    ROD_RETURN_IF_ERROR(SendTo(i, MsgType::kPlanDiff, diff_payload));
-  }
-  for (uint32_t i = 0; i < workers_.size(); ++i) {
-    if (!workers_[i].alive || !workers_[i].conn_ok) continue;
-    Frame frame;
-    ROD_RETURN_IF_ERROR(AwaitFrame(i, MsgType::kPlanAck, &frame));
-    auto ack = PlanAckMsg::Decode(frame.payload);
-    if (ack.ok()) workers_[i].plan_version = ack->version;
-  }
+  ROD_RETURN_IF_ERROR(
+      AwaitAcks(Broadcast(MsgType::kPlanDiff, diff.Encode(),
+                          PendingAck{MsgType::kPlanAck, plan_version_})));
   const double reassigned = MonotonicSeconds();
-  for (uint32_t i = 0; i < workers_.size(); ++i) {
-    if (!workers_[i].alive || !workers_[i].conn_ok) continue;
-    ROD_RETURN_IF_ERROR(SendTo(i, MsgType::kResume, ""));
-  }
+  Broadcast(MsgType::kResume, "");
   const double resumed = MonotonicSeconds();
 
   report_.phases.valid = true;
@@ -722,42 +691,51 @@ Status Coordinator::SendTo(uint32_t worker, MsgType type,
   return sent;
 }
 
-Status Coordinator::AwaitFrame(uint32_t worker, MsgType want, Frame* out) {
-  for (;;) {
-    const Status recv = workers_[worker].conn.Recv(out);
-    if (!recv.ok()) {
-      LoseConnection(worker);
-      return recv;
-    }
-    if (out->type == want) return Status::OK();
-    // Workers heartbeat, pong, and report stats on their own cadence;
-    // absorb anything that interleaves with the protocol step we are
-    // waiting on.
-    HandleAsyncFrame(worker, *out);
+std::vector<uint32_t> Coordinator::Broadcast(
+    MsgType type, std::string_view payload, std::optional<PendingAck> reply) {
+  std::vector<uint32_t> sent;
+  for (uint32_t i = 0; i < workers_.size(); ++i) {
+    if (!workers_[i].alive || !workers_[i].conn_ok) continue;
+    if (reply) workers_[i].pending = reply;
+    (void)SendTo(i, type, payload);  // A failure shows in AwaitAcks.
+    sent.push_back(i);
   }
+  return sent;
+}
+
+Status Coordinator::AwaitAcks(const std::vector<uint32_t>& from) {
+  // Before kStart no deadline pass runs, so the registration timeout
+  // bounds the wait; after it, a silent worker is failed at its deadline.
+  const double deadline =
+      started_ ? HUGE_VAL : MonotonicSeconds() + options_.register_timeout;
+  const auto owed = [this](uint32_t i) {
+    return workers_[i].conn_ok && workers_[i].pending.has_value();
+  };
+  Status status = Status::OK();
+  while (status.ok() && std::any_of(from.begin(), from.end(), owed)) {
+    const double left = deadline - MonotonicSeconds();
+    status = left > 0.0
+                 ? Step(std::min(left, options_.heartbeat_interval * 0.5))
+                 : Status::Unavailable("no reply before the register timeout");
+  }
+  for (const uint32_t i : from) {
+    if (status.ok() && !workers_[i].conn_ok) {
+      status = Status::Unavailable(workers_[i].name + " was lost mid-step");
+    }
+    workers_[i].pending.reset();
+  }
+  return status;
 }
 
 Status Coordinator::Finish() {
-  // Collect final stats from the survivors, then release them.
-  for (uint32_t i = 0; i < workers_.size(); ++i) {
-    WorkerState& worker = workers_[i];
-    if (!worker.alive || !worker.conn_ok) continue;
-    if (!SendTo(i, MsgType::kFinish, "").ok()) continue;
-    Frame frame;
-    if (!AwaitFrame(i, MsgType::kFinalStats, &frame).ok()) continue;
-    auto stats = StatsReportMsg::Decode(frame.payload);
-    if (!stats.ok()) continue;
-    HandleStatsReport(*stats);
-    worker.have_final = true;
-    telemetry_.Count("cluster.final_stats_collected", 1);
-  }
-  for (uint32_t i = 0; i < workers_.size(); ++i) {
-    if (workers_[i].alive && workers_[i].conn_ok) {
-      (void)SendTo(i, MsgType::kShutdown, "");
-    }
-    workers_[i].conn.Close();
-  }
+  // Collect final stats from the survivors, then release them. One that
+  // never answers is failed at its heartbeat deadline.
+  (void)AwaitAcks(
+      Broadcast(MsgType::kFinish, "", PendingAck{MsgType::kFinalStats}));
+  Broadcast(MsgType::kShutdown, "");
+  for (WorkerState& worker : workers_) worker.conn.Close();
   report_.run_seconds = Now();
+  report_.assignment = assignment_;
 
   // Every figure comes from the federated registries: a survivor's ends
   // with its kFinalStats delta, a dead worker's with its last report.
@@ -845,6 +823,9 @@ void Coordinator::WriteReportJson(std::ostream& out) const {
   w.Key("schema").String("rod.cluster_report.v1");
   w.Key("num_workers").Uint(report_.num_workers);
   w.Key("plan_version").Uint(report_.plan_version);
+  w.Key("assignment").BeginArray();
+  for (const size_t worker : report_.assignment) w.Uint(worker);
+  w.EndArray();
   w.Key("plan_ship_seconds").Double(report_.plan_ship_seconds);
   w.Key("run_seconds").Double(report_.run_seconds);
   w.Key("totals");

@@ -8,10 +8,12 @@
 // (behind its ControlAgent interface, exactly as the in-process engine
 // does) to compute an incremental repair, then executes it as a plan-diff
 // protocol against the survivors: pause the moved operators, collect
-// drain acks, ship the diff, collect install acks, resume. The first
-// failure of a run is captured as a sim::IncidentReport (detection delay,
-// repair latency, loss breakdown) inside the coordinator's flight
-// recorder, mirroring the simulated chaos pipeline with real processes.
+// drain acks, ship the diff, collect install acks, resume. Every ack is
+// awaited in the one poll loop that judges liveness, so a worker lost
+// mid-step aborts the step instead of stalling it. The first failure of
+// a run is captured as a sim::IncidentReport (detection delay, repair
+// latency, loss breakdown) inside the coordinator's flight recorder,
+// mirroring the simulated chaos pipeline with real processes.
 
 #ifndef ROD_CLUSTER_COORDINATOR_H_
 #define ROD_CLUSTER_COORDINATOR_H_
@@ -21,6 +23,7 @@
 #include <map>
 #include <memory>
 #include <mutex>
+#include <optional>
 #include <ostream>
 #include <string>
 #include <string_view>
@@ -51,15 +54,15 @@ struct CoordinatorOptions {
   size_t expected_workers = 0;
 
   /// Give up if fewer than expected_workers register within this long.
+  /// Also bounds each later wait before kStart (no deadline runs yet).
   double register_timeout = 30.0;
-
-  /// Per-protocol-step ack wait (plan ship, pause drain, diff install).
-  double ack_timeout = 10.0;
 
   /// Liveness: workers heartbeat every `heartbeat_interval`; a worker
   /// whose last heartbeat is older than `heartbeat_timeout` is declared
   /// failed even while its control connection stays open. A lost control
-  /// connection fails the worker without waiting for the deadline.
+  /// connection fails the worker without waiting for the deadline. Both
+  /// bound every wait after kStart; `heartbeat_timeout` also bounds each
+  /// blocking control-socket read or write.
   double heartbeat_interval = 0.25;
   double heartbeat_timeout = 1.0;
 
@@ -88,11 +91,10 @@ struct CoordinatorOptions {
   bool serve_http = false;
   uint16_t http_port = 0;
 
-  /// Clock alignment: the coordinator probes every worker with
-  /// `clock_sync_rounds` blocking kPing exchanges after the plan ships
-  /// (so offsets exist from the first batch), then keeps re-probing
-  /// every `clock_sync_interval` seconds during the run.
-  size_t clock_sync_rounds = 4;
+  /// Clock alignment: after the plan ships, the coordinator runs a few
+  /// rounds of kPing to every worker at once before kStart (so offsets
+  /// exist from the first batch), then re-probes every
+  /// `clock_sync_interval` seconds during the run.
   double clock_sync_interval = 1.0;
 
   /// When set, the coordinator dumps its Chrome trace here at the end
@@ -130,6 +132,8 @@ WorkerCounters CountersFromSnapshot(const telemetry::MetricsSnapshot& snap);
 struct ClusterReport {
   size_t num_workers = 0;
   uint64_t plan_version = 0;
+  /// Operator -> worker assignment live at the end of the run.
+  std::vector<size_t> assignment;
 
   /// First kPlan send to last kPlanAck received (seconds).
   double plan_ship_seconds = 0.0;
@@ -219,6 +223,14 @@ class Coordinator {
   uint16_t http_port() const { return http_port_; }
 
  private:
+  /// A reply owed by a worker. kPauseAck/kPlanAck also match on plan
+  /// version, so a late ack of an aborted diff confirms nothing.
+  struct PendingAck {
+    MsgType type = MsgType::kPlanAck;
+    uint64_t version = 0;
+    bool operator==(const PendingAck&) const = default;
+  };
+
   struct WorkerState {
     FrameConn conn;
     uint16_t data_port = 0;
@@ -227,11 +239,11 @@ class Coordinator {
     std::string name;
     bool alive = true;
     /// False once a send or recv on the control connection failed (see
-    /// LoseConnection); MonitorLoop then fails a live worker at once.
+    /// LoseConnection); the next deadline pass fails a live worker.
     bool conn_ok = true;
     double last_heartbeat = 0.0;
-    uint64_t plan_version = 0;
     bool have_final = false;
+    std::optional<PendingAck> pending;  ///< Cleared by its reply.
   };
 
   /// Everything the federated observability plane knows about one
@@ -262,48 +274,52 @@ class Coordinator {
   Status AcceptRegistrations();
   Status BuildAndShipPlan();
   Status StartRun();
-  /// Polls the control connections until the run ends. Its deadline pass
-  /// is the only place a worker is declared failed.
+  /// Runs the loop until the run ends, starting each repair in the
+  /// iteration of the verdict that called for it.
   Status MonitorLoop();
-  void HandleHeartbeat(const HeartbeatMsg& hb);
-  void HandleWorkerFailure(uint32_t failed, double now);
-  Status ExecutePlanDiff(const sim::PlanUpdate& update);
-  /// Records that `worker`'s control connection is gone: every failed
-  /// send or recv on it ends here. Closes the socket; the verdict is
-  /// left to MonitorLoop.
-  void LoseConnection(uint32_t worker);
-  /// Sends one frame to `worker`; a failure goes through LoseConnection.
-  Status SendTo(uint32_t worker, MsgType type, std::string_view payload);
-  /// Reads frames from `worker` until `want` (absorbing heartbeats,
-  /// pongs, stats reports, and frozen reports via HandleAsyncFrame);
-  /// kUnavailable (through LoseConnection) if the worker dies first.
-  Status AwaitFrame(uint32_t worker, MsgType want, Frame* out);
   Status Finish();
   void StartHttpPlane();
 
-  /// Dispatches frames that may arrive at any point of the protocol
-  /// (heartbeat / pong / stats report / frozen report); unknown types
-  /// are counted and dropped.
-  void HandleAsyncFrame(uint32_t worker, const Frame& frame);
-  void HandlePong(uint32_t worker, const PongMsg& pong);
-  void HandleStatsReport(const StatsReportMsg& report);
-  void HandleFrozenReport(const FrozenReportMsg& report);
+  /// One pass of the coordinator's only loop: polls the stop pipe and the
+  /// live control connections for up to `wait` seconds, dispatches what
+  /// arrived, then (after kStart) runs the deadline pass.
+  Status Step(double wait);
+  /// Dispatches one control frame from `worker`; a payload naming another
+  /// worker, or an unknown type, counts as cluster.unexpected_frames.
+  void HandleFrame(uint32_t worker, const Frame& frame);
+  void HandleStatsReport(uint32_t worker, const StatsReportMsg& report);
 
-  /// Blocking initial alignment: `rounds` kPing/kPong exchanges per
-  /// worker, then one kClockSync broadcast of the estimates.
-  Status SyncClocks(size_t rounds);
-  /// Non-blocking steady-state probes from MonitorLoop (pongs return
-  /// through the poll loop); re-broadcasts estimates when they moved.
-  void SendPings(double now);
+  /// Sends one frame to `worker`; a failure goes through LoseConnection.
+  Status SendTo(uint32_t worker, MsgType type, std::string_view payload);
+  /// Sends one frame to every live worker and returns those sent to;
+  /// with `reply`, each of them then owes it.
+  std::vector<uint32_t> Broadcast(MsgType type, std::string_view payload,
+                                  std::optional<PendingAck> reply = {});
+  /// Steps the loop until each of `from` has sent its pending reply or
+  /// lost its connection (as every verdict does). kUnavailable when one
+  /// of them was lost, or before kStart when `register_timeout` passes.
+  Status AwaitAcks(const std::vector<uint32_t>& from);
+  /// Records that `worker`'s control connection is gone: every failed
+  /// send or recv on it ends here. Closes the socket; the verdict is
+  /// left to the deadline pass.
+  void LoseConnection(uint32_t worker);
+
+  /// The verdict: marks `failed` down, opens the run's incident on the
+  /// first one, and makes a repair due now.
+  void FailWorker(uint32_t failed, double now);
+  /// Re-homes every down worker's operators through the supervisor and a
+  /// plan diff; retried after the supervisor's backoff or next verdict.
+  void Repair(double now);
+  Status ExecutePlanDiff(const sim::PlanUpdate& update);
+
+  /// Initial alignment: ping rounds, then one kClockSync broadcast.
+  Status SyncClocks();
+  /// Pings every live worker (each then owes a kPong); returns those.
+  std::vector<uint32_t> SendPings();
   void BroadcastClockSync();
   /// Copies worker `i`'s estimator state into obs_ and the coordinator
   /// gauges (cluster.clock_offset_us.w<i> / cluster.rtt_us.w<i>).
   void PublishClockEstimate(uint32_t i);
-
-  /// Orders every live worker to freeze its flight recorder at (about)
-  /// the same aligned instant; replies arrive as kFrozenReport.
-  void BroadcastFreeze(uint64_t incident_id, const std::string& kind,
-                       const std::string& detail);
 
   /// Federated plane renderers (HTTP thread; lock obs_mu_ inside).
   std::string RenderFederatedMetrics() const;
@@ -329,8 +345,9 @@ class Coordinator {
   // Run state.
   bool started_ = false;
   double run_epoch_ = 0.0;
-  double retry_at_ = -1.0;      ///< Pending repair retry (run clock).
-  uint32_t retry_node_ = 0;
+  bool stop_requested_ = false;  ///< RequestStop() seen by Step.
+  double repair_at_ = -1.0;     ///< Run clock a repair is due, -1: none.
+  uint32_t repair_node_ = 0;    ///< The failure it answers.
 
   // Clock alignment state (control thread only).
   std::vector<ClockSyncEstimator> clock_sync_;

@@ -11,7 +11,7 @@
 //
 // Concurrency model: one poll()-based event loop owns every socket and
 // all execution state — control connection, data listener, peer
-// connections, timers (heartbeat, source tick, finish deadline) — so no
+// connections, timers (heartbeat, source tick) — so no
 // locks guard the routing tables; the HTTP plane runs on its own thread
 // and only touches the (thread-safe) telemetry registry. A pause request
 // is therefore trivially a drain barrier: when the loop picks kPause off
@@ -209,7 +209,7 @@ class Worker {
   telemetry::Histogram sink_latency_;
 };
 
-/// Convenience for tools and forked test children: construct + Run.
+/// Convenience for bench_cluster's forked workers: construct + Run.
 Status RunWorker(const WorkerOptions& options);
 
 }  // namespace rod::cluster

@@ -1,24 +1,29 @@
 // End-to-end cluster tests with real processes: the coordinator runs in
-// the test process while each worker is fork()ed and runs RunWorker()
-// until shutdown. The chaos cases assert the full recovery pipeline —
-// detection, supervisor-driven plan diff (pause -> drain -> reassign ->
-// resume), survivor completion, and a populated IncidentReport — for
-// both kinds of evidence: a kill -9 loses the control connection, a
-// SIGSTOP leaves it open and only the heartbeat deadline catches it.
-// The chaos cases keep the HTTP plane off, so no worker is forked from
-// a process with live threads.
+// the test process, and each worker is a rod_worker process started with
+// posix_spawn (never fork(): the test process has live threads). The
+// chaos cases assert the full recovery pipeline — detection,
+// supervisor-driven plan diff (pause -> drain -> reassign -> resume),
+// survivor completion, and a populated IncidentReport — for both kinds
+// of evidence: a kill -9 loses the control connection, a SIGSTOP leaves
+// it open and only the heartbeat deadline catches it. Fake workers on
+// raw control connections send what a real worker never would.
 
 #include <arpa/inet.h>
 #include <gtest/gtest.h>
 #include <netinet/in.h>
 #include <signal.h>
+#include <spawn.h>
 #include <sys/socket.h>
 #include <sys/types.h>
 #include <sys/wait.h>
 #include <unistd.h>
 
+#include <algorithm>
+#include <atomic>
+#include <chrono>
 #include <cmath>
 #include <cstdlib>
+#include <cstring>
 #include <functional>
 #include <sstream>
 #include <string>
@@ -26,13 +31,23 @@
 #include <vector>
 
 #include "cluster/coordinator.h"
-#include "cluster/worker.h"
 #include "common/random.h"
+#include "placement/rod.h"
 #include "query/graph_gen.h"
+#include "query/load_model.h"
+#include "runtime/engine.h"
+#include "runtime/supervisor.h"
 #include "telemetry/json_reader.h"
+
+extern char** environ;
 
 namespace rod::cluster {
 namespace {
+
+using namespace std::chrono_literals;
+
+/// Workload length of the four-worker chaos runs.
+constexpr double kFourWorkerDuration = 3.0;
 
 query::QueryGraph TestGraph() {
   query::GraphGenOptions options;
@@ -54,17 +69,34 @@ CoordinatorOptions FastOptions() {
   return options;
 }
 
-/// Forks a worker process running RunWorker against `port`; returns its
-/// pid. The child never returns into gtest (straight to _exit).
-pid_t SpawnWorker(uint16_t port, bool serve_http = false) {
-  const pid_t pid = ::fork();
-  if (pid != 0) return pid;
-  WorkerOptions options;
-  options.coordinator_port = port;
-  options.serve_http = serve_http;
-  options.name = "e2e-worker-" + std::to_string(::getpid());
-  const Status status = RunWorker(options);
-  ::_exit(status.ok() ? 0 : 1);
+std::string WorkerName(size_t k) { return "e2e-" + std::to_string(k); }
+
+/// Starts `n` rod_worker processes against `port`, named WorkerName(k),
+/// and returns their pids; none if one failed to start (so no caller
+/// ever signals pid -1, which means every process).
+std::vector<pid_t> SpawnWorkers(uint16_t port, size_t n,
+                                bool serve_http = false) {
+  std::vector<pid_t> pids;
+  for (size_t k = 0; k < n; ++k) {
+    std::vector<std::string> args = {ROD_WORKER_PATH, "--coordinator",
+                                     std::to_string(port), "--name",
+                                     WorkerName(k)};
+    if (!serve_http) args.push_back("--no-http");
+    std::vector<char*> argv;
+    for (std::string& arg : args) argv.push_back(arg.data());
+    argv.push_back(nullptr);
+    pid_t pid = 0;
+    const int rc = ::posix_spawn(&pid, ROD_WORKER_PATH, nullptr, nullptr,
+                                 argv.data(), environ);
+    if (rc != 0) {
+      ADD_FAILURE() << "posix_spawn " << ROD_WORKER_PATH << ": "
+                    << std::strerror(rc);
+      for (const pid_t started : pids) ::kill(started, SIGKILL);
+      return {};
+    }
+    pids.push_back(pid);
+  }
+  return pids;
 }
 
 /// One raw loopback HTTP GET; returns the whole response (or "").
@@ -132,10 +164,23 @@ int WaitFor(pid_t pid) {
   return wstatus;
 }
 
-uint64_t FailuresDetected(Coordinator& coordinator) {
+uint64_t CounterValue(Coordinator& coordinator, const char* name) {
   const telemetry::MetricsSnapshot snap = coordinator.telemetry().Snapshot();
-  const auto it = snap.counters.find("cluster.failures_detected");
+  const auto it = snap.counters.find(name);
   return it == snap.counters.end() ? 0 : it->second;
+}
+
+uint64_t FailuresDetected(Coordinator& coordinator) {
+  return CounterValue(coordinator, "cluster.failures_detected");
+}
+
+/// The coordinator-assigned id of the worker that registered as `name`.
+uint32_t IdOf(const ClusterReport& report, const std::string& name) {
+  for (const ClusterReport::WorkerSummary& worker : report.workers) {
+    if (worker.name == name) return worker.worker_id;
+  }
+  ADD_FAILURE() << "no worker named " << name;
+  return 0;
 }
 
 void ExpectSurvivorsReported(const ClusterReport& report, size_t survivors) {
@@ -148,31 +193,45 @@ void ExpectSurvivorsReported(const ClusterReport& report, size_t survivors) {
   EXPECT_EQ(finals, survivors);
 }
 
+struct LossOutcome {
+  std::string incident;      ///< The run's one incident, as JSON.
+  double run_seconds = 0.0;  ///< Wall time of Coordinator::Run().
+};
+
 /// Runs a four-worker cluster while `lose_two`, on its own thread 1.2 s
-/// into the run, SIGKILLs workers[0] and workers[1]. Both losses must
-/// end up in one recovered incident whose plan went live less than a
-/// heartbeat timeout after detection, with the other two workers
-/// finishing cleanly. Returns the incident's JSON.
-std::string RunLosingTwoOfFour(
+/// into the run, takes out workers[0] and workers[1]; once Run() returns
+/// both are SIGKILLed, in case one was only stopped. Both losses must
+/// end up in one recovered incident whose plan went live less than
+/// `heartbeat_timeout + slack` after detection, with the other two
+/// workers finishing cleanly.
+LossOutcome RunLosingTwoOfFour(
     const std::function<void(const std::vector<pid_t>&, Coordinator&)>&
-        lose_two) {
+        lose_two,
+    double slack = 0.0) {
   CoordinatorOptions options = FastOptions();
   options.expected_workers = 4;
-  options.duration = 3.0;
+  options.duration = kFourWorkerDuration;
   Coordinator coordinator(TestGraph(), options);
   if (!coordinator.Listen().ok()) {
     ADD_FAILURE() << "coordinator could not listen";
-    return "";
+    return {};
   }
 
-  std::vector<pid_t> workers;
-  for (int i = 0; i < 4; ++i) workers.push_back(SpawnWorker(coordinator.port()));
+  const std::vector<pid_t> workers = SpawnWorkers(coordinator.port(), 4);
+  if (workers.size() != 4) return {};
   std::thread killer([&] {
-    std::this_thread::sleep_for(std::chrono::milliseconds(1200));
+    std::this_thread::sleep_for(1200ms);
     lose_two(workers, coordinator);
   });
+  LossOutcome outcome;
+  const auto begin = std::chrono::steady_clock::now();
   const Status run = coordinator.Run();
+  outcome.run_seconds = std::chrono::duration<double>(
+                            std::chrono::steady_clock::now() - begin)
+                            .count();
   killer.join();
+  ::kill(workers[0], SIGKILL);
+  ::kill(workers[1], SIGKILL);
   EXPECT_TRUE(run.ok()) << run.ToString();
   for (size_t k = 0; k < workers.size(); ++k) {
     const int wstatus = WaitFor(workers[k]);
@@ -189,21 +248,90 @@ std::string RunLosingTwoOfFour(
   EXPECT_TRUE(report.had_incident);
   EXPECT_TRUE(report.incident.recovered);
   EXPECT_LT(report.incident.plan_applied_time - report.incident.detect_time,
-            options.heartbeat_timeout);
+            options.heartbeat_timeout + slack);
   EXPECT_EQ(FailuresDetected(coordinator), 2u);
   ExpectSurvivorsReported(report, 2);
   const std::vector<std::string> incidents =
       coordinator.flight_recorder().IncidentJsons();
   EXPECT_EQ(incidents.size(), 1u);
-  return incidents.empty() ? "" : incidents[0];
+  if (!incidents.empty()) outcome.incident = incidents[0];
+  return outcome;
 }
+
+/// A stand-in worker on a raw control connection. It registers, acks the
+/// plan and answers clock-sync pings until a `last` frame arrives, which
+/// it leaves unanswered; after that it sends only what the test writes
+/// to `conn`.
+struct FakeWorker {
+  FrameConn conn;
+  uint32_t id = 0;
+
+  Status RunUntil(MsgType last, uint16_t port, const std::string& name) {
+    auto dialed = FrameConn::DialLoopback(port, 10.0);
+    if (!dialed.ok()) return dialed.status();
+    conn = std::move(dialed.value());
+    HelloMsg hello;
+    hello.name = name;
+    ROD_RETURN_IF_ERROR(conn.Send(MsgType::kHello, hello.Encode()));
+    for (;;) {
+      Frame frame;
+      ROD_RETURN_IF_ERROR(conn.Recv(&frame));
+      if (frame.type == last) return Status::OK();
+      if (frame.type == MsgType::kWelcome) {
+        auto welcome = WelcomeMsg::Decode(frame.payload);
+        if (!welcome.ok()) return welcome.status();
+        id = welcome->worker_id;
+      } else if (frame.type == MsgType::kPlan) {
+        auto plan = PlanMsg::Decode(frame.payload);
+        if (!plan.ok()) return plan.status();
+        const PlanAckMsg ack{plan->version, id};
+        ROD_RETURN_IF_ERROR(conn.Send(MsgType::kPlanAck, ack.Encode()));
+      } else if (frame.type == MsgType::kPing) {
+        auto ping = PingMsg::Decode(frame.payload);
+        if (!ping.ok()) return ping.status();
+        PongMsg pong;
+        pong.seq = ping->seq;
+        pong.worker_id = id;
+        pong.t1_us = pong.t2_us = pong.t3_us = ping->t1_us;
+        ROD_RETURN_IF_ERROR(conn.Send(MsgType::kPong, pong.Encode()));
+      }
+    }
+  }
+};
+
+/// Forwards to a Supervisor and keeps the last plan it returned.
+class RecordingAgent : public sim::ControlAgent {
+ public:
+  explicit RecordingAgent(sim::Supervisor* supervisor)
+      : supervisor_(supervisor) {}
+
+  double detection_delay() const override {
+    return supervisor_->detection_delay();
+  }
+  std::optional<sim::PlanUpdate> OnFailureDetected(
+      double now, uint32_t failed_node, const std::vector<bool>& node_up,
+      const sim::Deployment& deployment) override {
+    auto update =
+        supervisor_->OnFailureDetected(now, failed_node, node_up, deployment);
+    if (update.has_value()) last_update = update;
+    return update;
+  }
+  double RepairRetryDelay() override {
+    return supervisor_->RepairRetryDelay();
+  }
+
+  std::optional<sim::PlanUpdate> last_update;
+
+ private:
+  sim::Supervisor* supervisor_;
+};
 
 TEST(ClusterE2eTest, ThreeWorkerRunCompletesAndAggregates) {
   Coordinator coordinator(TestGraph(), FastOptions());
   ASSERT_TRUE(coordinator.Listen().ok());
 
-  std::vector<pid_t> workers;
-  for (int i = 0; i < 3; ++i) workers.push_back(SpawnWorker(coordinator.port()));
+  const std::vector<pid_t> workers = SpawnWorkers(coordinator.port(), 3);
+  ASSERT_EQ(workers.size(), 3u);
 
   const Status run = coordinator.Run();
   EXPECT_TRUE(run.ok()) << run.ToString();
@@ -254,15 +382,9 @@ TEST(ClusterE2eTest, FederatedMetricsAgreeWithWorkerPlanes) {
   ASSERT_TRUE(coordinator.Listen().ok());
   const uint16_t http_port = coordinator.http_port();
   ASSERT_NE(http_port, 0);
-  // The HTTP thread is live, and fork() copies every lock as it stands.
-  // Once it has served a request it is parked in poll() holding none, so
-  // no worker inherits a held allocator lock from the thread's start-up.
-  ASSERT_FALSE(HttpBody(HttpGet(http_port, "/healthz")).empty());
-
-  std::vector<pid_t> workers;
-  for (int i = 0; i < 3; ++i) {
-    workers.push_back(SpawnWorker(coordinator.port(), /*serve_http=*/true));
-  }
+  const std::vector<pid_t> workers =
+      SpawnWorkers(coordinator.port(), 3, /*serve_http=*/true);
+  ASSERT_EQ(workers.size(), 3u);
 
   // Mid-run scraper: once the coordinator is ready, poll until one
   // consistent scrape where every worker's own /metrics plane agrees
@@ -379,13 +501,13 @@ TEST(ClusterE2eTest, KillNineMidRunDetectsRepairsAndCompletes) {
   Coordinator coordinator(TestGraph(), options);
   ASSERT_TRUE(coordinator.Listen().ok());
 
-  std::vector<pid_t> workers;
-  for (int i = 0; i < 3; ++i) workers.push_back(SpawnWorker(coordinator.port()));
+  const std::vector<pid_t> workers = SpawnWorkers(coordinator.port(), 3);
+  ASSERT_EQ(workers.size(), 3u);
 
   // Real-process chaos: SIGKILL one worker mid-run — no cleanup, no
   // goodbye frame, exactly like an OOM kill or machine loss.
   std::thread killer([&workers] {
-    std::this_thread::sleep_for(std::chrono::milliseconds(1200));
+    std::this_thread::sleep_for(1200ms);
     ::kill(workers[0], SIGKILL);
   });
 
@@ -467,13 +589,13 @@ TEST(ClusterE2eTest, SigstopMidRunDetectedByHeartbeatDeadline) {
   Coordinator coordinator(TestGraph(), options);
   ASSERT_TRUE(coordinator.Listen().ok());
 
-  std::vector<pid_t> workers;
-  for (int i = 0; i < 3; ++i) workers.push_back(SpawnWorker(coordinator.port()));
+  const std::vector<pid_t> workers = SpawnWorkers(coordinator.port(), 3);
+  ASSERT_EQ(workers.size(), 3u);
 
   // A stopped process keeps its sockets open, so no EOF reaches the
   // coordinator: only the heartbeat deadline can catch it.
   std::thread stopper([&workers] {
-    std::this_thread::sleep_for(std::chrono::milliseconds(1200));
+    std::this_thread::sleep_for(1200ms);
     ::kill(workers[0], SIGSTOP);
   });
 
@@ -519,19 +641,223 @@ TEST(ClusterE2eTest, LossDuringRepairIsRepairedInTheSameIncident) {
   // The second loss lands inside the first repair: workers[1] is stopped
   // before workers[0] dies, so the repair's diff waits on its pause ack,
   // and it is killed only once the first failure has been declared.
-  const std::string incident = RunLosingTwoOfFour(
-      [](const std::vector<pid_t>& workers, Coordinator& coordinator) {
-        ::kill(workers[1], SIGSTOP);
-        ::kill(workers[0], SIGKILL);
-        for (int waited_ms = 0; waited_ms < 5000; ++waited_ms) {
-          if (FailuresDetected(coordinator) > 0) break;
-          std::this_thread::sleep_for(std::chrono::milliseconds(1));
-        }
-        ::kill(workers[1], SIGKILL);
-      });
+  const std::string incident =
+      RunLosingTwoOfFour(
+          [](const std::vector<pid_t>& workers, Coordinator& coordinator) {
+            ::kill(workers[1], SIGSTOP);
+            ::kill(workers[0], SIGKILL);
+            for (int waited_ms = 0; waited_ms < 5000; ++waited_ms) {
+              if (FailuresDetected(coordinator) > 0) break;
+              std::this_thread::sleep_for(1ms);
+            }
+            ::kill(workers[1], SIGKILL);
+          })
+          .incident;
   // The first diff failed on the second loss; the next one re-homed the
   // operators of both and ended the incident.
   EXPECT_NE(incident.find("plan diff failed"), std::string::npos);
+}
+
+TEST(ClusterE2eTest, WorkerStoppedMidDiffIsFailedAtItsDeadline) {
+  // workers[1] is stopped and stays stopped; workers[0] is killed. The
+  // kill's repair pauses the stopped worker too, which never acks. Its
+  // heartbeat deadline fails it, that diff aborts, and the next diff
+  // re-homes the operators of both in the same incident.
+  const LossOutcome outcome = RunLosingTwoOfFour(
+      [](const std::vector<pid_t>& workers, Coordinator&) {
+        ::kill(workers[1], SIGSTOP);
+        ::kill(workers[0], SIGKILL);
+      },
+      /*slack=*/1.0);
+  EXPECT_NE(outcome.incident.find("missed heartbeats"), std::string::npos);
+  EXPECT_NE(outcome.incident.find("plan diff failed"), std::string::npos);
+  EXPECT_LT(outcome.run_seconds,
+            kFourWorkerDuration + FastOptions().finish_grace + 2.0);
+}
+
+TEST(ClusterE2eTest, WorkerResumedAfterItsVerdictStaysFailed) {
+  CoordinatorOptions options = FastOptions();
+  options.duration = 3.0;
+  Coordinator coordinator(TestGraph(), options);
+  ASSERT_TRUE(coordinator.Listen().ok());
+  const std::vector<pid_t> workers = SpawnWorkers(coordinator.port(), 3);
+  ASSERT_EQ(workers.size(), 3u);
+
+  // Stop workers[0] until its verdict, then let it run again: it must find
+  // its control connection closed and exit while the run goes on.
+  std::atomic<bool> run_returned{false};
+  bool exited_during_run = false;
+  int resumed_status = 0;
+  std::thread stopper([&] {
+    std::this_thread::sleep_for(1200ms);
+    ::kill(workers[0], SIGSTOP);
+    for (int waited_ms = 0; waited_ms < 5000; ++waited_ms) {
+      if (FailuresDetected(coordinator) > 0) break;
+      std::this_thread::sleep_for(1ms);
+    }
+    ::kill(workers[0], SIGCONT);
+    pid_t reaped = 0;
+    for (int waited_ms = 0; waited_ms < 10000 && reaped == 0; ++waited_ms) {
+      reaped = ::waitpid(workers[0], &resumed_status, WNOHANG);
+      if (reaped == 0) std::this_thread::sleep_for(1ms);
+    }
+    exited_during_run = reaped == workers[0] && !run_returned.load();
+    if (reaped == 0) {
+      ::kill(workers[0], SIGKILL);
+      WaitFor(workers[0]);
+    }
+  });
+  const Status run = coordinator.Run();
+  run_returned.store(true);
+  stopper.join();
+  EXPECT_TRUE(run.ok()) << run.ToString();
+  EXPECT_TRUE(exited_during_run);
+  EXPECT_TRUE(WIFEXITED(resumed_status) && WEXITSTATUS(resumed_status) != 0);
+  for (size_t k = 1; k < workers.size(); ++k) {
+    const int wstatus = WaitFor(workers[k]);
+    EXPECT_TRUE(WIFEXITED(wstatus) && WEXITSTATUS(wstatus) == 0);
+  }
+
+  // Failed once and never counted alive again.
+  const ClusterReport& report = coordinator.report();
+  EXPECT_EQ(FailuresDetected(coordinator), 1u);
+  ASSERT_EQ(report.workers.size(), 3u);
+  EXPECT_FALSE(report.workers[IdOf(report, WorkerName(0))].alive);
+  EXPECT_EQ(coordinator.telemetry().Snapshot().gauges.at(
+                "cluster.workers_alive"),
+            2.0);
+  EXPECT_TRUE(report.incident.recovered);
+  ExpectSurvivorsReported(report, 2);
+}
+
+TEST(ClusterE2eTest, FrameNamingAnotherWorkerIsDropped) {
+  // After kStart `silent` sends nothing, while `forger` heartbeats under
+  // its own id and under silent's. A frame speaks only for the worker
+  // whose connection carried it, so silent fails at its deadline.
+  CoordinatorOptions options = FastOptions();
+  options.expected_workers = 2;
+  options.duration = 1.5;
+  Coordinator coordinator(TestGraph(), options);
+  ASSERT_TRUE(coordinator.Listen().ok());
+  Status run;
+  std::thread runner([&] { run = coordinator.Run(); });
+
+  FakeWorker silent, forger;
+  Status silent_up, forger_up;
+  std::thread a([&] {
+    silent_up = silent.RunUntil(MsgType::kStart, coordinator.port(), "silent");
+  });
+  std::thread b([&] {
+    forger_up = forger.RunUntil(MsgType::kStart, coordinator.port(), "forger");
+  });
+  a.join();
+  b.join();
+  EXPECT_TRUE(silent_up.ok()) << silent_up.ToString();
+  EXPECT_TRUE(forger_up.ok()) << forger_up.ToString();
+
+  bool failed_while_forging = false;
+  for (int tick = 0; tick < 60 && silent_up.ok() && forger_up.ok(); ++tick) {
+    for (const uint32_t named : {forger.id, silent.id}) {
+      HeartbeatMsg hb;
+      hb.worker_id = named;
+      (void)forger.conn.Send(MsgType::kHeartbeat, hb.Encode());
+    }
+    std::this_thread::sleep_for(50ms);
+    failed_while_forging = FailuresDetected(coordinator) > 0;
+    if (failed_while_forging) break;
+  }
+  forger.conn.Close();
+  runner.join();
+  silent.conn.Close();
+
+  EXPECT_TRUE(run.ok()) << run.ToString();
+  EXPECT_TRUE(failed_while_forging);
+  EXPECT_GT(CounterValue(coordinator, "cluster.unexpected_frames"), 0u);
+  const ClusterReport& report = coordinator.report();
+  ASSERT_TRUE(report.had_incident);
+  EXPECT_EQ(report.incident.failed_node, silent.id);
+  const std::vector<std::string> incidents =
+      coordinator.flight_recorder().IncidentJsons();
+  ASSERT_EQ(incidents.size(), 1u);
+  EXPECT_NE(incidents[0].find("silent: missed heartbeats"), std::string::npos);
+}
+
+TEST(ClusterE2eTest, SimulatorAndClusterAgreeOnAFailover) {
+  const query::QueryGraph graph = TestGraph();
+  CoordinatorOptions options = FastOptions();
+  options.duration = 3.0;
+  Coordinator coordinator(graph, options);
+  ASSERT_TRUE(coordinator.Listen().ok());
+  const std::vector<pid_t> workers = SpawnWorkers(coordinator.port(), 3);
+  ASSERT_EQ(workers.size(), 3u);
+  std::thread killer([&workers] {
+    std::this_thread::sleep_for(1200ms);
+    ::kill(workers[0], SIGKILL);
+  });
+  const Status run = coordinator.Run();
+  killer.join();
+  for (const pid_t pid : workers) WaitFor(pid);
+  ASSERT_TRUE(run.ok()) << run.ToString();
+  const ClusterReport& report = coordinator.report();
+  ASSERT_TRUE(report.incident.recovered);
+  const uint32_t victim = IdOf(report, WorkerName(0));
+
+  // The coordinator's plan: ROD over the three workers' advertised
+  // capacity of 1, from the same load model.
+  auto model = query::BuildLinearizedLoadModel(graph);
+  ASSERT_TRUE(model.ok());
+  const place::SystemSpec system = place::SystemSpec::Homogeneous(3);
+  auto plan = place::RodPlace(*model, system, options.rod, &graph);
+  ASSERT_TRUE(plan.ok());
+  ASSERT_GT(std::count(plan->assignment().begin(), plan->assignment().end(),
+                       size_t{victim}),
+            0);
+  auto deployment = sim::CompileDeployment(graph, *plan, system);
+  ASSERT_TRUE(deployment.ok());
+
+  // The same crash in the simulator, repaired by a supervisor with the
+  // coordinator's options.
+  sim::Supervisor supervisor(*model, options.supervisor);
+  RecordingAgent agent(&supervisor);
+  sim::FailureSchedule crash;
+  crash.CrashAt(1.0, victim);
+  sim::SimulationOptions sim_options;
+  sim_options.duration = options.duration;
+  sim_options.failures = &crash;
+  sim_options.recovery = &agent;
+  std::vector<trace::RateTrace> rates(graph.num_input_streams());
+  for (trace::RateTrace& trace : rates) {
+    trace.window_sec = options.duration;
+    trace.rates = {options.default_rate};
+  }
+  auto simulated = sim::Simulate(*deployment, rates, sim_options);
+  ASSERT_TRUE(simulated.ok()) << simulated.status().ToString();
+  ASSERT_TRUE(agent.last_update.has_value());
+  ASSERT_TRUE(simulated->incident.has_value());
+  EXPECT_EQ(agent.last_update->assignment, report.assignment);
+  EXPECT_EQ(simulated->incident->operators_moved,
+            report.incident.operators_moved);
+}
+
+TEST(ClusterE2eTest, WorkerLostBeforeStartFailsRun) {
+  // The only worker hangs up instead of acking its plan. Before kStart no
+  // repair is possible, so Run() fails, without waiting out the 20 s
+  // registration timeout that bounds the plan ship.
+  CoordinatorOptions options = FastOptions();
+  options.expected_workers = 1;
+  Coordinator coordinator(TestGraph(), options);
+  ASSERT_TRUE(coordinator.Listen().ok());
+  FakeWorker quitter;
+  std::thread worker([&] {
+    EXPECT_TRUE(
+        quitter.RunUntil(MsgType::kPlan, coordinator.port(), "quitter").ok());
+    quitter.conn.Close();
+  });
+  const auto begin = std::chrono::steady_clock::now();
+  const Status run = coordinator.Run();
+  worker.join();
+  EXPECT_EQ(run.code(), StatusCode::kUnavailable) << run.ToString();
+  EXPECT_LT(std::chrono::steady_clock::now() - begin, 5s);
 }
 
 TEST(ClusterE2eTest, CoordinatorTimesOutWhenWorkersNeverRegister) {
