@@ -1,8 +1,9 @@
 // Copyright (c) the ROD reproduction authors.
 //
 // Perf baseline of cluster mode (src/cluster): real multi-process runs
-// on loopback with the coordinator in this process and each worker
-// fork()ed, measuring the three numbers that define the distributed
+// on loopback with the coordinator in this process and each worker a
+// posix_spawn()ed rod_worker process (built as bench_cluster_worker),
+// measuring the three numbers that define the distributed
 // runtime's responsiveness —
 //
 //   1. plan-ship latency: first kPlan send to last kPlanAck across all
@@ -17,7 +18,7 @@
 //      pause/drain/reassign/resume diff).
 //
 // Emits a machine-readable JSON baseline (fields documented in
-// docs/BENCH_CLUSTER.md) so later PRs can regress against it.
+// docs/BENCH_CLUSTER.md) so later changes can regress against it.
 //
 //   bench_cluster [--mode smoke|full] [--json=PATH]
 //                 [--workers N] [--ship-reps N] [--rate R]
@@ -30,12 +31,13 @@
 // default 0 = disabled).
 
 #include <signal.h>
+#include <spawn.h>
 #include <sys/types.h>
 #include <sys/wait.h>
 #include <unistd.h>
 
 #include <algorithm>
-#include <cstdio>
+#include <cstring>
 #include <fstream>
 #include <iostream>
 #include <string>
@@ -44,10 +46,11 @@
 
 #include "bench_util.h"
 #include "cluster/coordinator.h"
-#include "cluster/worker.h"
 #include "common/random.h"
 #include "query/graph_gen.h"
 #include "telemetry/json_writer.h"
+
+extern char** environ;
 
 namespace {
 
@@ -84,23 +87,29 @@ CoordinatorOptions BaseOptions(const Config& cfg) {
   return options;
 }
 
-/// Forks a worker running RunWorker against `port`. stdio is flushed
-/// first so the child doesn't replay buffered bench output.
-pid_t SpawnWorker(uint16_t port) {
-  std::fflush(nullptr);
-  const pid_t pid = ::fork();
-  if (pid != 0) return pid;
-  cluster::WorkerOptions options;
-  options.coordinator_port = port;
-  options.serve_http = false;
-  options.name = "bench-worker-" + std::to_string(::getpid());
-  const Status status = cluster::RunWorker(options);
-  ::_exit(status.ok() ? 0 : 1);
+/// Starts worker `index` against `port` with posix_spawn, not fork: this
+/// process has live threads (the coordinator's and the thread pool's).
+Result<pid_t> SpawnWorker(uint16_t port, size_t index) {
+  std::vector<std::string> args = {ROD_WORKER_PATH, "--coordinator",
+                                   std::to_string(port), "--name",
+                                   "bench-worker-" + std::to_string(index),
+                                   "--no-http"};
+  std::vector<char*> argv;
+  for (std::string& arg : args) argv.push_back(arg.data());
+  argv.push_back(nullptr);
+  pid_t pid = 0;
+  const int rc = ::posix_spawn(&pid, ROD_WORKER_PATH, nullptr, nullptr,
+                               argv.data(), environ);
+  if (rc != 0) {
+    return Status::Internal(std::string("posix_spawn ") + ROD_WORKER_PATH +
+                            ": " + std::strerror(rc));
+  }
+  return pid;
 }
 
-/// One full cluster lifecycle: listen, fork `workers` children, run to
-/// completion (optionally SIGKILLing child 0 at `kill_at` seconds), reap
-/// every child, and hand back the coordinator's report.
+/// One full cluster lifecycle: listen, spawn `workers` processes, run to
+/// completion (optionally SIGKILLing worker 0 at `kill_at` seconds), reap
+/// every worker, and hand back the coordinator's report.
 Result<ClusterReport> RunCluster(const query::QueryGraph& graph,
                                  const CoordinatorOptions& options,
                                  size_t workers, double kill_at = 0.0) {
@@ -109,7 +118,15 @@ Result<ClusterReport> RunCluster(const query::QueryGraph& graph,
 
   std::vector<pid_t> pids;
   for (size_t i = 0; i < workers; ++i) {
-    pids.push_back(SpawnWorker(coordinator.port()));
+    auto pid = SpawnWorker(coordinator.port(), i);
+    if (!pid.ok()) {
+      for (const pid_t started : pids) {
+        ::kill(started, SIGKILL);
+        ::waitpid(started, nullptr, 0);
+      }
+      return pid.status();
+    }
+    pids.push_back(*pid);
   }
 
   std::thread killer;

@@ -1,27 +1,27 @@
 // Copyright (c) the ROD reproduction authors.
 //
 // Perf baseline of the tuple-level simulation engine. Sweeps graph size x
-// offered load on the single-run hot path (calendar queue + streaming
-// latency metrics vs the legacy binary-heap + store-all-percentiles
-// configuration, both in this binary) and the sweep runner (N independent
-// runs across the thread pool), reporting events/sec, tuples/sec, sweep
-// wall time, and bit-exactness between every configuration pair that must
-// agree. Also times the hot path with a telemetry sink attached, so the
-// enabled-telemetry overhead is part of the baseline, and runs a small
-// telemetry-enabled showcase (chaos run + parallel sweep) whose metrics
-// snapshot is embedded in the JSON and whose Chrome trace --trace exports.
-// Emits a machine-readable JSON baseline (fields documented in
-// docs/BENCH_ENGINE.md) so later PRs can regress against it.
+// offered load on the single-run hot path (the default configuration,
+// the same with delivery batching off, and the same with a telemetry sink
+// attached) and the sweep runner (N independent runs across the thread
+// pool), reporting the median events/sec of repeated runs with its p10
+// and p90, tuples/sec, sweep wall time, and bit-exactness between every
+// configuration pair that must agree. Also runs a small telemetry-enabled
+// showcase (chaos run + parallel sweep) whose metrics snapshot is
+// embedded in the JSON and whose Chrome trace --trace exports. Emits a
+// machine-readable JSON baseline (fields documented in
+// docs/BENCH_ENGINE.md) so later changes can regress against it.
 //
 //   bench_engine_perf [--mode smoke|full] [--json=PATH] [--trace=PATH]
 //                     [--threads=1,2,4,8] [--max-telemetry-overhead=PCT]
-//                     [--min-speedup=X]
+//                     [--min-events-per-sec=F]
 //
 // --mode smoke shrinks the sweep for CI; --json defaults to
 // BENCH_engine.json. Exit code is nonzero iff a bit-exactness check fails,
-// the enabled-telemetry overhead on the largest workload exceeds
-// --max-telemetry-overhead, or the batch-mode speedup over the legacy
-// engine on the largest workload falls below --min-speedup (both gates
+// the median enabled-telemetry overhead on the largest workload exceeds
+// --max-telemetry-overhead, or the default configuration's median
+// events/sec on the gate workload (4 streams x 25 operators at load 0.8,
+// present in both modes) falls below --min-events-per-sec (both gates
 // default to 0 = disabled).
 
 #include <algorithm>
@@ -34,6 +34,7 @@
 #include <vector>
 
 #include "bench_util.h"
+#include "common/stats.h"
 #include "placement/evaluator.h"
 #include "placement/rod.h"
 #include "query/graph_gen.h"
@@ -53,31 +54,48 @@ struct Workload {
   size_t ops_per_tree = 0;
   double load_level = 0.0;  ///< Fraction of the placement's boundary.
   size_t total_ops() const { return streams * ops_per_tree; }
+  bool operator==(const Workload&) const = default;
 };
+
+/// The workload --min-events-per-sec reads: the largest smoke workload,
+/// which full mode runs too, so a full-mode baseline sets a smoke floor.
+constexpr Workload kGateWorkload{4, 25, 0.8};
+
+/// Median and 10th/90th percentiles of one configuration's per-rep rate.
+struct Spread {
+  double median = 0.0;
+  double p10 = 0.0;
+  double p90 = 0.0;
+};
+
+Spread SpreadOf(const std::vector<double>& values) {
+  return {Percentile(values, 0.5), Percentile(values, 0.1),
+          Percentile(values, 0.9)};
+}
 
 struct SingleRun {
   Workload w;
   double duration = 0.0;
   size_t reps = 0;
-  size_t batch_size = 0;  ///< Delivery batch limit of the fast path.
+  size_t batch_size = 0;  ///< Delivery batch limit of the default config.
   uint64_t events = 0;  ///< Events per rep (identical across reps).
   size_t input_tuples = 0;
   size_t output_tuples = 0;
-  /// kBinaryHeap + exact (store-all) percentiles + batch_size 1: the
-  /// engine exactly as it stood before the calendar queue, streaming
-  /// latency metrics, and delivery batching landed.
-  double legacy_events_per_sec = 0.0;
-  double events_per_sec = 0.0;  ///< kCalendar + streaming + batching.
-  double tuples_per_sec = 0.0;
-  double batch1_events_per_sec = 0.0;  ///< Fast path with batching off.
-  double speedup_vs_legacy = 0.0;
-  bool bitexact_vs_heap = false;    ///< fast == heap+streaming, same batch.
-  bool bitexact_vs_batch1 = false;  ///< fast == batch_size 1, incl. p99.
-  bool batch1_vs_legacy = false;    ///< batch1 == legacy (SameResult).
-  double telemetry_events_per_sec = 0.0;  ///< Fast path + telemetry sink.
-  double telemetry_overhead_pct = 0.0;    ///< 100 * (off/on - 1), by ev/s.
+  Spread events_per_sec;            ///< Default configuration.
+  double tuples_per_sec = 0.0;      ///< At the median events/sec.
+  Spread batch1_events_per_sec;     ///< Default with batching off.
+  Spread telemetry_events_per_sec;  ///< Default + telemetry sink.
+  double telemetry_overhead_pct = 0.0;  ///< 100 * (off/on - 1), medians.
+  bool bitexact_vs_batch1 = false;  ///< default == batch_size 1, incl. p99.
   bool bitexact_vs_telemetry = false;
 };
+
+void WriteSpread(telemetry::JsonWriter& w, const std::string& key,
+                 const Spread& s) {
+  w.Key(key).Double(s.median);
+  w.Key(key + "_p10").Double(s.p10);
+  w.Key(key + "_p90").Double(s.p90);
+}
 
 struct SweepRun {
   Workload w;
@@ -170,15 +188,11 @@ void WriteJson(const std::string& path, const std::string& mode,
     w.Key("events").Uint(r.events);
     w.Key("input_tuples").Uint(r.input_tuples);
     w.Key("output_tuples").Uint(r.output_tuples);
-    w.Key("legacy_events_per_sec").Double(r.legacy_events_per_sec);
-    w.Key("events_per_sec").Double(r.events_per_sec);
+    WriteSpread(w, "events_per_sec", r.events_per_sec);
     w.Key("tuples_per_sec").Double(r.tuples_per_sec);
-    w.Key("batch1_events_per_sec").Double(r.batch1_events_per_sec);
-    w.Key("speedup_vs_legacy").Double(r.speedup_vs_legacy);
-    w.Key("bitexact_vs_heap").Bool(r.bitexact_vs_heap);
+    WriteSpread(w, "batch1_events_per_sec", r.batch1_events_per_sec);
     w.Key("bitexact_vs_batch1").Bool(r.bitexact_vs_batch1);
-    w.Key("batch1_vs_legacy").Bool(r.batch1_vs_legacy);
-    w.Key("telemetry_events_per_sec").Double(r.telemetry_events_per_sec);
+    WriteSpread(w, "telemetry_events_per_sec", r.telemetry_events_per_sec);
     w.Key("telemetry_overhead_pct").Double(r.telemetry_overhead_pct);
     w.Key("bitexact_vs_telemetry").Bool(r.bitexact_vs_telemetry);
     w.EndObject();
@@ -213,7 +227,7 @@ int main(int argc, char** argv) {
                                                   : flags.json_path;
   std::vector<size_t> threads_list;
   double max_telemetry_overhead = 0.0;  // 0 disables the check
-  double min_speedup = 0.0;             // 0 disables the check
+  double min_events_per_sec = 0.0;      // 0 disables the check
   for (size_t a = 0; a < flags.rest.size(); ++a) {
     const std::string& arg = flags.rest[a];
     if (arg == "--mode" && a + 1 < flags.rest.size()) {
@@ -224,12 +238,13 @@ int main(int argc, char** argv) {
       threads_list = bench::ParseThreadList(arg.substr(10));
     } else if (arg.rfind("--max-telemetry-overhead=", 0) == 0) {
       max_telemetry_overhead = std::stod(arg.substr(25));
-    } else if (arg.rfind("--min-speedup=", 0) == 0) {
-      min_speedup = std::stod(arg.substr(14));
+    } else if (arg.rfind("--min-events-per-sec=", 0) == 0) {
+      min_events_per_sec = std::stod(arg.substr(21));
     } else {
       std::cerr << "usage: bench_engine_perf [--mode smoke|full] "
                    "[--json=PATH] [--trace=PATH] [--threads=1,2,4,8] "
-                   "[--max-telemetry-overhead=PCT] [--min-speedup=X] "
+                   "[--max-telemetry-overhead=PCT] "
+                   "[--min-events-per-sec=F] "
                    "[--serve=PORT] [--flightrecorder=PATH]\n";
       return 2;
     }
@@ -252,22 +267,21 @@ int main(int argc, char** argv) {
                          : std::vector<size_t>{1, 2, 4, 8};
   }
 
-  // Graph size x offered load; the last entry is the "largest smoke
-  // configuration" the acceptance criterion pins the single-run speedup to.
+  // Graph size x offered load; both modes include kGateWorkload.
   const std::vector<Workload> workloads =
-      smoke ? std::vector<Workload>{{2, 10, 0.5}, {4, 25, 0.8}}
-            : std::vector<Workload>{{2, 10, 0.5}, {4, 25, 0.5}, {4, 25, 0.8},
+      smoke ? std::vector<Workload>{{2, 10, 0.5}, kGateWorkload}
+            : std::vector<Workload>{{2, 10, 0.5}, {4, 25, 0.5}, kGateWorkload,
                                     {5, 40, 0.8}};
   const double duration = smoke ? 15.0 : 40.0;
-  const size_t reps = smoke ? 2 : 4;
+  const size_t reps = smoke ? 5 : 7;
   // The sweep section re-simulates the largest workload many times per
   // thread count, so it gets a shorter horizon than the single-run path.
   const double sweep_duration = smoke ? 6.0 : 12.0;
   const size_t sweep_cases = smoke ? 6 : 16;
 
-  bench::Banner("engine single-run hot path (calendar+streaming vs legacy)");
-  bench::Table single_table({"streams", "ops", "load", "events", "legacy ev/s",
-                             "b1 ev/s", "new ev/s", "speedup", "tel ev/s",
+  bench::Banner("engine single-run hot path (median Mev/s [p10, p90])");
+  bench::Table single_table({"streams", "ops", "load", "events", "ev/s",
+                             "ev/s p10", "ev/s p90", "b1 ev/s", "tel ev/s",
                              "tel ovh%", "bitexact"});
   std::vector<SingleRun> singles;
   bool all_bitexact = true;
@@ -277,28 +291,17 @@ int main(int argc, char** argv) {
 
     sim::SimulationOptions fast;
     fast.duration = duration;
-    fast.event_queue = sim::EventQueueImpl::kCalendar;
     // A realistic metro-area hop keeps many deliveries in flight, so the
     // event queue runs deep enough to exercise the queue kernel
     // (identical for every configuration; does not affect bit-exactness).
     fast.network_latency = 10e-3;
-    // `legacy` is the engine as it stood before the calendar queue,
-    // streaming latency metrics, and delivery batching: binary heap,
-    // store-all percentiles (with their full final sort), one event per
-    // delivered tuple.
-    sim::SimulationOptions legacy = fast;
-    legacy.event_queue = sim::EventQueueImpl::kBinaryHeap;
-    legacy.exact_percentiles = true;
-    legacy.batch_size = 1;
-    sim::SimulationOptions heap_fast = fast;  // heap + streaming: isolates
-    heap_fast.event_queue = sim::EventQueueImpl::kBinaryHeap;
     sim::SimulationOptions batch1 = fast;  // batching off: isolates batching
     batch1.batch_size = 1;
-    // Fast path with a live telemetry sink: the enabled-overhead column.
-    // Under --serve the runs record into the live plane's sink instead —
-    // the aggregator samples and the HTTP server scrapes it concurrently,
-    // so the overhead gate then covers the entire plane, not just the
-    // recording fast path.
+    // Default path with a live telemetry sink: the enabled-overhead
+    // column. Under --serve the runs record into the live plane's sink
+    // instead — the aggregator samples and the HTTP server scrapes it
+    // concurrently, so the overhead gate then covers the entire plane,
+    // not just the recording fast path.
     telemetry::Telemetry run_telemetry;
     sim::SimulationOptions fast_telemetry = fast;
     fast_telemetry.telemetry = plane.telemetry() != nullptr
@@ -306,16 +309,16 @@ int main(int argc, char** argv) {
                                    : &run_telemetry;
 
     // All configurations are timed with their reps interleaved
-    // round-robin (fast, legacy, ... fast, legacy, ...) rather than one
+    // round-robin (fast, batch1, telemetry, fast, ...) rather than one
     // configuration at a time: on shared hardware the machine's
     // throughput drifts over the seconds a workload takes, and
-    // interleaving exposes every configuration to the same drift, which
-    // stabilizes the speedup ratios even when the absolute numbers move.
-    // Best-of-reps then filters scheduler noise per configuration.
-    enum Config { kFast, kLegacy, kHeapFast, kBatch1, kTelemetry, kConfigs };
+    // interleaving exposes every configuration to the same drift. Each
+    // configuration then reports the median of its reps, with p10 and
+    // p90 as the spread.
+    enum Config { kFast, kBatch1, kTelemetry, kConfigs };
     const std::array<const sim::SimulationOptions*, kConfigs> configs = {
-        &fast, &legacy, &heap_fast, &batch1, &fast_telemetry};
-    std::array<double, kConfigs> best{};
+        &fast, &batch1, &fast_telemetry};
+    std::array<std::vector<double>, kConfigs> rates;
     std::array<sim::SimulationResult, kConfigs> results;
     for (const sim::SimulationOptions* options : configs) {
       // One short warmup per configuration grows the thread-local
@@ -333,7 +336,7 @@ int main(int argc, char** argv) {
                                           s.traces, *configs[c]);
         const double secs = SecondsSince(t0);
         ROD_CHECK_OK(run.status());
-        if (rep == 0 || secs < best[c]) best[c] = secs;
+        rates[c].push_back(static_cast<double>(run->processed_events) / secs);
         if (rep == 0) results[c] = std::move(*run);
       }
     }
@@ -346,50 +349,39 @@ int main(int argc, char** argv) {
     r.events = results[kFast].processed_events;
     r.input_tuples = results[kFast].input_tuples;
     r.output_tuples = results[kFast].output_tuples;
-    r.legacy_events_per_sec = static_cast<double>(r.events) / best[kLegacy];
-    r.events_per_sec = static_cast<double>(r.events) / best[kFast];
-    r.tuples_per_sec = static_cast<double>(r.input_tuples) / best[kFast];
-    r.batch1_events_per_sec = static_cast<double>(r.events) / best[kBatch1];
-    r.speedup_vs_legacy = r.events_per_sec / r.legacy_events_per_sec;
-    // Calendar + streaming must equal heap + streaming bit-for-bit (the
-    // percentile mode is allowed to differ from `legacy`, the queue not).
-    r.bitexact_vs_heap =
-        SameResult(results[kFast], results[kHeapFast]) &&
-        results[kFast].p99_latency == results[kHeapFast].p99_latency;
+    r.events_per_sec = SpreadOf(rates[kFast]);
+    // Every rep runs the same events, so the median rate scales to tuples.
+    r.tuples_per_sec = r.events_per_sec.median *
+                       static_cast<double>(r.input_tuples) /
+                       static_cast<double>(r.events);
+    r.batch1_events_per_sec = SpreadOf(rates[kBatch1]);
+    r.telemetry_events_per_sec = SpreadOf(rates[kTelemetry]);
     // Delivery batching is bit-exact for every batch size (see engine.cc),
     // so turning it off must not move a bit either.
     r.bitexact_vs_batch1 =
         SameResult(results[kFast], results[kBatch1]) &&
         results[kFast].p99_latency == results[kBatch1].p99_latency;
-    // batch=1 vs the legacy engine: identical results up to the latency
-    // percentile mode (SameResult covers counts, mean/max latency,
-    // utilization, backlog — the fields both modes compute exactly).
-    r.batch1_vs_legacy = SameResult(results[kBatch1], results[kLegacy]);
     // Telemetry is observation-only, so attaching it must not move a bit.
     r.bitexact_vs_telemetry =
         SameResult(results[kFast], results[kTelemetry]) &&
         results[kFast].p99_latency == results[kTelemetry].p99_latency;
-    r.telemetry_events_per_sec =
-        static_cast<double>(r.events) / best[kTelemetry];
     r.telemetry_overhead_pct =
-        100.0 * (r.events_per_sec / r.telemetry_events_per_sec - 1.0);
-    all_bitexact = all_bitexact && r.bitexact_vs_heap &&
-                   r.bitexact_vs_batch1 && r.batch1_vs_legacy &&
-                   r.bitexact_vs_telemetry;
+        100.0 * (r.events_per_sec.median /
+                     r.telemetry_events_per_sec.median -
+                 1.0);
+    all_bitexact =
+        all_bitexact && r.bitexact_vs_batch1 && r.bitexact_vs_telemetry;
     singles.push_back(r);
     single_table.AddRow(
         {std::to_string(w.streams), std::to_string(w.total_ops()),
          bench::Fmt(w.load_level, 1), std::to_string(r.events),
-         bench::Fmt(r.legacy_events_per_sec / 1e6, 2),
-         bench::Fmt(r.batch1_events_per_sec / 1e6, 2),
-         bench::Fmt(r.events_per_sec / 1e6, 2),
-         bench::Fmt(r.speedup_vs_legacy, 2),
-         bench::Fmt(r.telemetry_events_per_sec / 1e6, 2),
+         bench::Fmt(r.events_per_sec.median / 1e6, 2),
+         bench::Fmt(r.events_per_sec.p10 / 1e6, 2),
+         bench::Fmt(r.events_per_sec.p90 / 1e6, 2),
+         bench::Fmt(r.batch1_events_per_sec.median / 1e6, 2),
+         bench::Fmt(r.telemetry_events_per_sec.median / 1e6, 2),
          bench::Fmt(r.telemetry_overhead_pct, 1),
-         r.bitexact_vs_heap && r.bitexact_vs_batch1 && r.batch1_vs_legacy &&
-                 r.bitexact_vs_telemetry
-             ? "yes"
-             : "NO"});
+         r.bitexact_vs_batch1 && r.bitexact_vs_telemetry ? "yes" : "NO"});
   }
   single_table.Print();
 
@@ -525,17 +517,19 @@ int main(int argc, char** argv) {
     }
   }
 
-  bool speedup_ok = true;
-  if (min_speedup > 0.0) {
-    // Machine-independent form of the acceptance gate: batch-mode
-    // events/sec vs the legacy engine measured in this same binary on
-    // this same machine, at the largest workload.
-    const double worst = singles.back().speedup_vs_legacy;
-    speedup_ok = worst >= min_speedup;
-    std::cout << "speedup vs legacy on largest workload: "
-              << bench::Fmt(worst, 2) << "x (floor "
-              << bench::Fmt(min_speedup, 2)
-              << "x): " << (speedup_ok ? "ok" : "BELOW FLOOR") << "\n";
+  bool throughput_ok = true;
+  if (min_events_per_sec > 0.0) {
+    // An absolute floor, so it depends on the measuring machine's speed:
+    // the committed full-mode baseline's p10 on this workload sets it.
+    const auto gate = std::find_if(
+        singles.begin(), singles.end(),
+        [](const SingleRun& r) { return r.w == kGateWorkload; });
+    const double median = gate->events_per_sec.median;
+    throughput_ok = median >= min_events_per_sec;
+    std::cout << "median events/sec on the gate workload: "
+              << bench::Fmt(median / 1e6, 2) << "M (floor "
+              << bench::Fmt(min_events_per_sec / 1e6, 2)
+              << "M): " << (throughput_ok ? "ok" : "BELOW FLOOR") << "\n";
   }
 
   bool overhead_ok = true;
@@ -553,5 +547,5 @@ int main(int argc, char** argv) {
   WriteJson(json_path, mode, singles, sweeps, showcase.Snapshot());
   std::cout << "wrote " << json_path << " (" << singles.size()
             << " single runs, " << sweeps.size() << " sweep points)\n";
-  return all_bitexact && overhead_ok && speedup_ok ? 0 : 1;
+  return all_bitexact && overhead_ok && throughput_ok ? 0 : 1;
 }

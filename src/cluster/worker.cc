@@ -47,11 +47,6 @@ Worker::Worker(WorkerOptions options) : options_(std::move(options)) {
 
 Worker::~Worker() { http_.Stop(); }
 
-Status RunWorker(const WorkerOptions& options) {
-  Worker worker(options);
-  return worker.Run();
-}
-
 void Worker::RequestStop() { stop_pipe_.Notify(); }
 
 double Worker::Now() const {
@@ -380,14 +375,16 @@ void Worker::HandleDataFrame(const Frame& frame) {
   telemetry_.Count("cluster.batches_received", 1);
   // End-to-end ship latency on the coordinator clock: both sides' local
   // stamps rebased by their distributed offsets. Only measurable once
-  // clock sync has covered both this worker and the sender.
+  // clock sync has covered both this worker and the sender. Every tuple
+  // of the batch shipped with that latency, so it counts once per tuple.
   const uint32_t from = batch->from_worker;
   if (batch->send_time_us > 0.0 && worker_id_ < have_offset_.size() &&
       have_offset_[worker_id_] != 0 && from < have_offset_.size() &&
       have_offset_[from] != 0) {
     const double recv_coord = recv_us + clock_offset_us_[worker_id_];
     const double send_coord = batch->send_time_us + clock_offset_us_[from];
-    ship_latency_.Record(std::max(0.0, recv_coord - send_coord));
+    ship_latency_.Record(std::max(0.0, recv_coord - send_coord),
+                         batch->count);
   }
   Dispatch(batch->to_op, batch->to_port, batch->count, batch->create_time);
 }

@@ -209,9 +209,6 @@ class Worker {
   telemetry::Histogram sink_latency_;
 };
 
-/// Convenience for bench_cluster's forked workers: construct + Run.
-Status RunWorker(const WorkerOptions& options);
-
 }  // namespace rod::cluster
 
 #endif  // ROD_CLUSTER_WORKER_H_

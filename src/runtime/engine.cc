@@ -27,6 +27,10 @@ namespace {
 /// (external arrivals, migration replays, orphan re-homing).
 constexpr uint32_t kNoUpstream = UINT32_MAX;
 
+/// Latency samples kept per series by the fixed-memory streaming summary
+/// (a deterministic reservoir; mean and max stay exact).
+constexpr size_t kLatencyReservoir = 8192;
+
 /// Tuples travelling between nodes, stored as columnar batches (constant
 /// network latency makes the delivery order FIFO, so queues suffice).
 /// Structure-of-arrays: one FIFO column per tuple field, popped in
@@ -378,11 +382,11 @@ Result<SimulationResult> Simulate(const Deployment& deployment,
   Rng control_rng(options.seed ^ 0x0ddba11c0ffee5ULL);
 
   // Latency collection: fixed-memory streaming summary on the hot path;
-  // exact store-all mode for tests and for incident analysis (the phase
-  // split needs the full timed series).
+  // exact store-all mode for incident analysis (the phase split needs the
+  // full timed series).
   LatencyStatsOptions lat_opts;
-  if (!options.exact_percentiles && options.failures == nullptr) {
-    lat_opts.reservoir = options.latency_reservoir;
+  if (options.failures == nullptr) {
+    lat_opts.reservoir = kLatencyReservoir;
     // Independent of the run's random streams: derived by constant
     // mixing, never by drawing from `master`.
     lat_opts.seed = options.seed ^ 0x5ca1ab1e0ddba11ULL;
@@ -390,11 +394,7 @@ Result<SimulationResult> Simulate(const Deployment& deployment,
   MetricsCollector metrics(num_nodes, options.utilization_window,
                            options.duration, lat_opts);
 
-  if (ws.events.impl() != options.event_queue) {
-    ws.events = EventQueue(options.event_queue);
-  } else {
-    ws.events.Clear();
-  }
+  ws.events.Clear();
   // Unconditional: the pooled queue must not keep a stale sink across runs.
   ws.events.set_telemetry(tel);
   ws.events.Reserve(2 * num_nodes + inputs.size() + 64);
@@ -623,11 +623,6 @@ Result<SimulationResult> Simulate(const Deployment& deployment,
         // throttle; the tuple keeps its origin and pays it as latency).
         park_delivery(task, dst_node, kNoUpstream);
         accepted = true;
-        continue;
-      }
-      if (options.shed_queue_threshold > 0 &&
-          nodes[dst_node].queue_length() >= options.shed_queue_threshold) {
-        shed = true;  // overload response: drop at the edge
         continue;
       }
       if (bounded) {
@@ -1152,7 +1147,7 @@ Result<SimulationResult> Simulate(const Deployment& deployment,
   for (const auto& held : ws.bp_held) result.final_backlog += held.size();
   result.op_stats = op_stats;
   result.overloaded_windows =
-      metrics.OverloadedWindows(options.overload_threshold);
+      metrics.OverloadedWindows(kOverloadedUtilization);
   result.total_windows = metrics.num_windows();
   // Saturation: a node pegged for a large share of the run, or a backlog
   // disproportionate to the input volume remaining at the horizon.
@@ -1184,7 +1179,7 @@ Result<SimulationResult> Simulate(const Deployment& deployment,
         num_w, static_cast<size_t>(anchor / options.utilization_window));
     size_t recovered_w = num_w;
     for (size_t w = num_w; w-- > start_w;) {
-      if (metrics.WindowMaxBusyFraction(w) < options.recovered_utilization) {
+      if (metrics.WindowMaxBusyFraction(w) < kRecoveredUtilization) {
         recovered_w = w;
       } else {
         break;

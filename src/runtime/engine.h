@@ -20,13 +20,13 @@
 #include "query/query_graph.h"
 #include "runtime/chaos.h"
 #include "runtime/deployment.h"
-#include "runtime/event_queue.h"
 #include "runtime/node.h"
 #include "trace/trace.h"
 
 namespace rod::telemetry {
 class FlightRecorder;
 class JsonWriter;
+class Telemetry;
 }  // namespace rod::telemetry
 
 namespace rod::trace::store {
@@ -34,6 +34,14 @@ class ReplaySet;
 }  // namespace rod::trace::store
 
 namespace rod::sim {
+
+/// Per-window busy fraction at/above which a utilization window counts
+/// as overloaded (SimulationResult::overloaded_windows).
+inline constexpr double kOverloadedUtilization = 0.99;
+
+/// Incident report: per-window max busy fraction below which the cluster
+/// counts as recovered after a crash (IncidentReport::recovered).
+inline constexpr double kRecoveredUtilization = 0.95;
 
 /// One simulation run's configuration.
 struct SimulationOptions {
@@ -54,9 +62,6 @@ struct SimulationOptions {
   /// Per-window utilization bucket width (seconds).
   double utilization_window = 1.0;
 
-  /// Per-window busy fraction at/above which a window counts overloaded.
-  double overload_threshold = 0.99;
-
   /// Abort guard: fail the run if it would process more than this many
   /// simulation events (runaway load or miswired graphs).
   uint64_t max_events = 200'000'000;
@@ -67,20 +72,15 @@ struct SimulationOptions {
   /// tuple counts are unaffected.
   double warmup = 0.0;
 
-  /// Load shedding (Borealis-style overload response): when a node's queue
-  /// holds at least this many tasks, tuples arriving from *external input
-  /// streams* at that node are dropped instead of enqueued (internal
-  /// dataflow is never shed, so no partial work is wasted). 0 disables
-  /// shedding (queues grow without bound under overload).
-  size_t shed_queue_threshold = 0;
-
-  /// Bounded per-node ingress queues: at most `queue_bound.capacity`
-  /// tuple tasks queued per node, overflow resolved by the configured
-  /// OverflowPolicy (see runtime/node.h) — kQosWeighted uses the compiled
-  /// per-operator drop weights. Capacity 0 (the default) keeps the legacy
-  /// unbounded queues, bit-exact with previous releases. Dropped tuples
-  /// are counted in OverloadStats (and, for rejected external arrivals,
-  /// in shed_tuples).
+  /// Bounded per-node ingress queues (the Borealis-style load-shedding
+  /// response): at most `queue_bound.capacity` tuple tasks queued per
+  /// node, overflow resolved by the configured OverflowPolicy (see
+  /// runtime/node.h). kDropNewest tail-drops at the edge, so an
+  /// overloaded node sheds arriving tuples instead of growing its queue;
+  /// kQosWeighted uses the compiled per-operator drop weights. Capacity 0
+  /// (the default) keeps the queues unbounded. Dropped tuples are counted
+  /// in OverloadStats (and, for rejected external arrivals, in
+  /// shed_tuples).
   QueueBound queue_bound;
 
   /// Backpressure propagation: a node whose tuple queue reaches
@@ -144,15 +144,6 @@ struct SimulationOptions {
   /// overload detector observes without acting.
   ControlAgent* recovery = nullptr;
 
-  /// Incident report: per-window max busy fraction at/below which the
-  /// cluster counts as recovered after a crash.
-  double recovered_utilization = 0.95;
-
-  /// Event-queue implementation. Both produce the same (time, seq) event
-  /// order, so results are bit-identical; the calendar queue is O(1)
-  /// amortized, the binary heap is the legacy reference.
-  EventQueueImpl event_queue = EventQueueImpl::kCalendar;
-
   /// Network-delivery batching: up to `batch_size` tuples entering the
   /// simulated network at the same instant ride one kNetworkDelivery
   /// calendar event (a tuple batch in the network FIFO) instead of one
@@ -160,22 +151,12 @@ struct SimulationOptions {
   /// Provably bit-exact for every value: a batch only forms from
   /// deliveries pushed back-to-back (consecutive sequence numbers) for
   /// the same arrival time, which the (time, seq) total order already
-  /// pops consecutively — the batched handler replays the exact legacy
+  /// pops consecutively — the batched handler replays the exact
   /// per-tuple order, and per-tuple accounting (bounded queues,
   /// backpressure, shedding, processed-event counts) is unchanged.
-  /// 1 disables batching and takes the legacy one-event-per-tuple path.
+  /// 1 disables batching (one event per tuple): the reference setting
+  /// engine_batch_test and bench_engine_perf compare the default against.
   size_t batch_size = 64;
-
-  /// Store every latency sample and compute exact percentiles (the
-  /// pre-overhaul behavior) instead of the fixed-memory streaming
-  /// summary. Mean and max are exact either way; runs with a failure
-  /// schedule always keep full samples (incident phase analysis needs
-  /// the timed series).
-  bool exact_percentiles = false;
-
-  /// Reservoir size per latency series when streaming summaries are in
-  /// use (ignored under exact_percentiles; 0 also forces exact).
-  size_t latency_reservoir = 8192;
 
   /// Telemetry sink (metrics + trace spans; see docs/TELEMETRY.md). Not
   /// owned; null (the default) disables all recording. Telemetry never
@@ -230,7 +211,7 @@ struct IncidentReport {
 
   /// Recovery: the first utilization window at/after the repaired plan
   /// went live (or the crash, without a supervisor) from which every
-  /// remaining window stays below `recovered_utilization`.
+  /// remaining window stays below kRecoveredUtilization.
   bool recovered = false;
   double recovery_time = -1.0;  ///< Crash -> start of that window (s).
   double post_recovery_max_utilization = 0.0;
@@ -308,7 +289,7 @@ struct SimulationResult {
   /// zeros when the corresponding knobs are off.
   struct OverloadStats {
     size_t shed_edge = 0;       ///< External tuples dropped at ingress
-                                ///< (threshold or full bounded queue).
+                                ///< (full bounded queue).
     size_t shed_overflow = 0;   ///< Queued tuples evicted by an overflow
                                 ///< policy (internal dataflow included).
     size_t shed_directive = 0;  ///< External tuples dropped by the control

@@ -75,10 +75,6 @@ void EventQueue::Rebuild(size_t new_bucket_count) {
 }
 
 void EventQueue::Reserve(size_t n) {
-  if (impl_ == EventQueueImpl::kBinaryHeap) {
-    heap_.reserve(n);
-    return;
-  }
   scratch_.reserve(n);
   size_t bucket_count = kMinBuckets;
   while (bucket_count < kMaxBuckets && 2 * bucket_count < n) {
@@ -91,7 +87,6 @@ void EventQueue::Reserve(size_t n) {
 }
 
 void EventQueue::Clear() {
-  heap_.clear();
   for (auto& bucket : buckets_) bucket.clear();
   size_ = 0;
   next_seq_ = 0;

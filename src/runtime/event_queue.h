@@ -4,23 +4,18 @@
 // deterministic min-time event queue. Ties are broken by insertion
 // sequence so identical seeds replay identically.
 //
-// Two implementations share the same (time, seq) total order:
-//
-//  * kCalendar (default): a bucketed calendar queue (Brown, CACM '88).
-//    Events hash to `floor((time - base) / width)` virtual slots; slots
-//    wrap onto a power-of-two bucket array and each bucket is kept as a
-//    small (time, seq) binary heap. The engine's event times are
-//    near-monotone, so push and pop are O(1) amortized; the structure
-//    resizes itself (gather + redistribute) when occupancy drifts.
-//    Correctness does not depend on floating-point bucket boundaries:
-//    the pop test compares virtual slots computed by the same monotone
-//    time->slot map used on push, so an event in an earlier slot can
-//    never be passed over, and equal times always share a bucket where
-//    the heap breaks ties by seq. Pop order is therefore bit-identical
-//    to the binary heap's.
-//  * kBinaryHeap: the original std::push_heap/pop_heap binary heap.
-//    Kept as the reference order for tests and as the in-binary
-//    baseline for bench_engine_perf.
+// The queue is a bucketed calendar queue (Brown, CACM '88). Events hash
+// to `floor((time - base) / width)` virtual slots; slots wrap onto a
+// power-of-two bucket array and each bucket is kept as a small (time,
+// seq) binary heap. The engine's event times are near-monotone, so push
+// and pop are O(1) amortized; the structure resizes itself (gather +
+// redistribute) when occupancy drifts. Correctness does not depend on
+// floating-point bucket boundaries: the pop test compares virtual slots
+// computed by the same monotone time->slot map used on push, so an event
+// in an earlier slot can never be passed over, and equal times always
+// share a bucket where the heap breaks ties by seq. Pop order is
+// therefore the (time, seq) order of a plain binary heap over all
+// events, which tests/event_queue_test.cc keeps as its reference.
 
 #ifndef ROD_RUNTIME_EVENT_QUEUE_H_
 #define ROD_RUNTIME_EVENT_QUEUE_H_
@@ -57,33 +52,44 @@ struct Event {
                        ///< token so crashes can cancel stale completions.
 };
 
-/// Which backing structure orders the events (same observable order).
-enum class EventQueueImpl {
-  kCalendar,    ///< Bucketed calendar queue, O(1) amortized.
-  kBinaryHeap,  ///< Legacy binary heap, O(log n).
-};
-
 /// Min-queue of events ordered by (time, seq).
 class EventQueue {
  public:
-  explicit EventQueue(EventQueueImpl impl = EventQueueImpl::kCalendar)
-      : impl_(impl) {}
-
-  EventQueueImpl impl() const { return impl_; }
-
   /// Schedules an event; `time` must be finite. Defined inline (with the
   /// rest of the push/pop hot path) so the engine's event loop can fold
   /// the queue operations into its own body.
   void Push(double time, EventType type, uint32_t index, uint64_t tag = 0) {
     assert(std::isfinite(time));
-    const Event e{time, next_seq_++, type, index, tag};
-    if (impl_ == EventQueueImpl::kBinaryHeap) {
-      heap_.push_back(e);
-      std::push_heap(heap_.begin(), heap_.end(), Later{});
-      ++size_;
-    } else {
-      PushCalendar(e);
+    if (buckets_.empty()) {
+      buckets_.resize(kMinBuckets);
+      mask_ = kMinBuckets - 1;
     }
+    if (size_ == 0) {
+      // Re-anchor the calendar on the first event so virtual slot numbers
+      // stay small; width is corrected by the next rebuild if stale.
+      base_ = time;
+      cur_vslot_ = 0;
+      cur_bucket_ = 0;
+    }
+    const size_t bucket_count = mask_ + 1;
+    if (size_ + 1 > 2 * bucket_count && bucket_count < kMaxBuckets) {
+      Rebuild(bucket_count * 2);
+    }
+    const uint64_t vslot = VslotOf(time);
+    if (vslot < cur_vslot_) {
+      // Non-monotone push behind the cursor: walk the cursor back so the
+      // "no event earlier than the cursor slot" invariant holds.
+      cur_vslot_ = vslot;
+      cur_bucket_ = static_cast<size_t>(vslot) & mask_;
+    }
+    auto& bucket = buckets_[static_cast<size_t>(vslot) & mask_];
+    bucket.push_back(Event{time, next_seq_++, type, index, tag});
+    // Near-monotone pushes mostly land in empty buckets; skip the heap
+    // call (and its comparator setup) for the singleton case.
+    if (bucket.size() > 1) {
+      std::push_heap(bucket.begin(), bucket.end(), Later{});
+    }
+    ++size_;
     // Integer-only high-water ratchet; Pop flushes it into the gauge. With
     // no telemetry attached this is a single never-taken branch.
     if (track_high_water_ && size_ > pending_high_water_) {
@@ -100,13 +106,9 @@ class EventQueue {
   /// recently scheduled work at its arrival time.
   uint64_t next_seq() const { return next_seq_; }
 
-  /// The earliest event (undefined when empty). Non-const: the calendar
-  /// implementation advances its bucket cursor to locate the minimum.
-  const Event& Top() {
-    assert(size_ > 0);
-    if (impl_ == EventQueueImpl::kBinaryHeap) return heap_.front();
-    return buckets_[FindMinBucket()].front();
-  }
+  /// The earliest event (undefined when empty). Non-const: locating the
+  /// minimum advances the bucket cursor.
+  const Event& Top() { return buckets_[FindMinBucket()].front(); }
 
   /// Removes and returns the earliest event.
   Event Pop() {
@@ -114,13 +116,6 @@ class EventQueue {
     if (pending_high_water_ != 0) {
       size_high_water_.Max(static_cast<double>(pending_high_water_));
       pending_high_water_ = 0;
-    }
-    if (impl_ == EventQueueImpl::kBinaryHeap) {
-      std::pop_heap(heap_.begin(), heap_.end(), Later{});
-      Event e = heap_.back();
-      heap_.pop_back();
-      --size_;
-      return e;
     }
     auto& bucket = buckets_[FindMinBucket()];
     if (bucket.size() > 1) {
@@ -220,40 +215,6 @@ class EventQueue {
   /// buckets with a width recomputed from the observed time span.
   void Rebuild(size_t new_bucket_count);
 
-  void PushCalendar(const Event& e) {
-    if (buckets_.empty()) {
-      buckets_.resize(kMinBuckets);
-      mask_ = kMinBuckets - 1;
-    }
-    if (size_ == 0) {
-      // Re-anchor the calendar on the first event so virtual slot numbers
-      // stay small; width is corrected by the next rebuild if stale.
-      base_ = e.time;
-      cur_vslot_ = 0;
-      cur_bucket_ = 0;
-    }
-    const size_t bucket_count = mask_ + 1;
-    if (size_ + 1 > 2 * bucket_count && bucket_count < kMaxBuckets) {
-      Rebuild(bucket_count * 2);
-    }
-    const uint64_t vslot = VslotOf(e.time);
-    if (vslot < cur_vslot_) {
-      // Non-monotone push behind the cursor: walk the cursor back so the
-      // "no event earlier than the cursor slot" invariant holds.
-      cur_vslot_ = vslot;
-      cur_bucket_ = static_cast<size_t>(vslot) & mask_;
-    }
-    auto& bucket = buckets_[static_cast<size_t>(vslot) & mask_];
-    bucket.push_back(e);
-    // Near-monotone pushes mostly land in empty buckets; skip the heap
-    // call (and its comparator setup) for the singleton case.
-    if (bucket.size() > 1) {
-      std::push_heap(bucket.begin(), bucket.end(), Later{});
-    }
-    ++size_;
-  }
-
-  EventQueueImpl impl_;
   size_t size_ = 0;
   uint64_t next_seq_ = 0;
   telemetry::Telemetry* telemetry_ = nullptr;
@@ -261,11 +222,8 @@ class EventQueue {
   size_t pending_high_water_ = 0;    ///< Peak size_ since the last flush.
   telemetry::Gauge size_high_water_; ///< Flushed from the pending peak.
 
-  // kBinaryHeap state.
-  std::vector<Event> heap_;
-
-  // kCalendar state. `buckets_[s & mask_]` is a (time, seq) min-heap of
-  // the events whose virtual slot s wraps there.
+  // `buckets_[s & mask_]` is a (time, seq) min-heap of the events whose
+  // virtual slot s wraps there.
   std::vector<std::vector<Event>> buckets_;
   std::vector<Event> scratch_;  ///< Rebuild staging, reused across resizes.
   size_t mask_ = 0;             ///< bucket_count - 1 (power of two).

@@ -81,19 +81,6 @@ LatencySummary MetricsCollector::Summarize(const RunningStats& stats,
   s.mean = stats.mean();
   s.max = stats.max();
   std::vector<double> scratch(samples.samples());
-  if (s.exact) {
-    // Store-all mode keeps the historical full-sort implementation: it is
-    // the legacy configuration the engine perf baseline regresses against,
-    // and exact-mode sample sets are test/incident sized, not hot-path
-    // sized. Selection below returns bit-identical values (the k-th order
-    // statistic does not depend on how it is found), so the split is a
-    // cost split, not a semantic one.
-    std::sort(scratch.begin(), scratch.end());
-    s.p50 = QuantileOfSorted(scratch, 0.50);
-    s.p95 = QuantileOfSorted(scratch, 0.95);
-    s.p99 = QuantileOfSorted(scratch, 0.99);
-    return s;
-  }
   s.p50 = QuantileBySelection(scratch, 0.50);
   s.p95 = QuantileBySelection(scratch, 0.95);
   s.p99 = QuantileBySelection(scratch, 0.99);

@@ -307,7 +307,7 @@ TEST(ChaosTest, SupervisedRepairRecoversFromMidRunCrash) {
   // ...but the cluster recovered and stays below the overload threshold.
   EXPECT_TRUE(inc.recovered);
   EXPECT_GE(inc.recovery_time, 0.0);
-  EXPECT_LT(inc.post_recovery_max_utilization, options.overload_threshold);
+  EXPECT_LT(inc.post_recovery_max_utilization, kOverloadedUtilization);
   EXPECT_GT(inc.post_recovery.outputs, 0u);
   EXPECT_FALSE(r->saturated);
 }

@@ -472,6 +472,7 @@ TEST(ClusterE2eTest, FederatedMetricsAgreeWithWorkerPlanes) {
   const ClusterReport& report = coordinator.report();
   EXPECT_GT(report.totals.delivered, 0u);
   ASSERT_EQ(report.workers.size(), 3u);
+  uint64_t batches_received = 0;
   for (const ClusterReport::WorkerSummary& worker : report.workers) {
     const std::string label = "{name=\"" + worker.name + "\",worker=\"" +
                               std::to_string(worker.worker_id) + "\"}";
@@ -492,7 +493,15 @@ TEST(ClusterE2eTest, FederatedMetricsAgreeWithWorkerPlanes) {
     EXPECT_EQ(c.ship_failures, series("cluster_ship_failures"));
     // One sink-latency record per delivered batch, weighted by its size.
     EXPECT_EQ(c.latency_count, c.delivered);
+    batches_received += series("cluster_batches_received");
   }
+  // Ship latency is weighted the same way. At 200 tuples/s per stream
+  // and 50 ms ticks a batch carries several tuples, so a histogram that
+  // counted batches would hold at most `batches_received` samples. Only
+  // tuples received after both ends' clocks synced are measured.
+  EXPECT_GT(batches_received, 0u);
+  EXPECT_GT(report.ship_latency.count, batches_received);
+  EXPECT_LE(report.ship_latency.count, report.totals.received);
 }
 
 TEST(ClusterE2eTest, KillNineMidRunDetectsRepairsAndCompletes) {

@@ -134,9 +134,8 @@ TEST(EngineBatchTest, SweepIsBitExactAtModerateLoad) {
 }
 
 TEST(EngineBatchTest, SweepIsBitExactUnderOverloadMachinery) {
-  // Leaf node driven past saturation with every PR-6 mechanism live:
-  // bounded queues, backpressure with source stalls, threshold shedding,
-  // and the sustained-overload detector. All of their accounting is
+  // Leaf node driven past saturation with bounded queues (overflow
+  // eviction) and backpressure (source stalls) live. Their accounting is
   // per-tuple inside a batch, so OverloadStats must not move either.
   const FanOutScenario s(/*src_cost=*/1e-4, /*leaf_cost=*/1.2e-3);
   SimulationOptions options;
@@ -145,7 +144,6 @@ TEST(EngineBatchTest, SweepIsBitExactUnderOverloadMachinery) {
   options.queue_bound.policy = OverflowPolicy::kDropOldest;
   options.backpressure.enabled = true;
   options.backpressure.high_water = 96;
-  options.shed_queue_threshold = 192;
   const SimulationResult baseline = RunWith(s, options, 1, 1200.0);
   EXPECT_GT(baseline.overload.total_shed() +
                 baseline.overload.backpressure_deferred,
@@ -154,23 +152,6 @@ TEST(EngineBatchTest, SweepIsBitExactUnderOverloadMachinery) {
   for (size_t batch : kBatchSweep) {
     if (batch == 1) continue;
     ExpectBitExact(baseline, RunWith(s, options, batch, 1200.0), batch);
-  }
-}
-
-TEST(EngineBatchTest, SweepIsBitExactOnBothEventQueues) {
-  // The batching layer sits above the event queue; sweep the heap-backed
-  // queue too so a calendar-specific assumption cannot hide there.
-  const FanOutScenario s;
-  for (EventQueueImpl impl :
-       {EventQueueImpl::kCalendar, EventQueueImpl::kBinaryHeap}) {
-    SimulationOptions options;
-    options.duration = 15.0;
-    options.event_queue = impl;
-    const SimulationResult baseline = RunWith(s, options, 1, 500.0);
-    for (size_t batch : kBatchSweep) {
-      if (batch == 1) continue;
-      ExpectBitExact(baseline, RunWith(s, options, batch, 500.0), batch);
-    }
   }
 }
 

@@ -229,51 +229,6 @@ TEST(EngineTest, DeterministicGivenSeed) {
   EXPECT_DOUBLE_EQ(a->mean_latency, b->mean_latency);
 }
 
-TEST(EngineTest, CalendarAndHeapQueuesGiveIdenticalResults) {
-  // The calendar queue must be a drop-in replacement: same seed, same
-  // trace, bit-identical SimulationResult under either implementation.
-  const QueryGraph g = OneOpGraph(1e-3, 0.8);
-  const SystemSpec system = SystemSpec::Homogeneous(1);
-  SimulationOptions calendar;
-  calendar.duration = 15.0;
-  calendar.event_queue = EventQueueImpl::kCalendar;
-  SimulationOptions heap = calendar;
-  heap.event_queue = EventQueueImpl::kBinaryHeap;
-  auto a = SimulatePlacement(g, Placement(1, {0}), system,
-                             {ConstantTrace(300.0, 15.0)}, calendar);
-  auto b = SimulatePlacement(g, Placement(1, {0}), system,
-                             {ConstantTrace(300.0, 15.0)}, heap);
-  ASSERT_TRUE(a.ok() && b.ok());
-  EXPECT_EQ(a->input_tuples, b->input_tuples);
-  EXPECT_EQ(a->output_tuples, b->output_tuples);
-  EXPECT_EQ(a->processed_events, b->processed_events);
-  EXPECT_EQ(a->mean_latency, b->mean_latency);  // bit-exact
-  EXPECT_EQ(a->p99_latency, b->p99_latency);
-  EXPECT_EQ(a->max_latency, b->max_latency);
-  EXPECT_EQ(a->node_utilization, b->node_utilization);
-}
-
-TEST(EngineTest, ExactPercentilesMatchDefaultBelowReservoir) {
-  // Short runs emit fewer outputs than the default reservoir, so the
-  // sampled path must degrade to exactly the store-all answer.
-  const QueryGraph g = OneOpGraph(1e-3, 1.0);
-  const SystemSpec system = SystemSpec::Homogeneous(1);
-  SimulationOptions sampled;
-  sampled.duration = 10.0;
-  SimulationOptions exact = sampled;
-  exact.exact_percentiles = true;
-  auto a = SimulatePlacement(g, Placement(1, {0}), system,
-                             {ConstantTrace(100.0, 10.0)}, sampled);
-  auto b = SimulatePlacement(g, Placement(1, {0}), system,
-                             {ConstantTrace(100.0, 10.0)}, exact);
-  ASSERT_TRUE(a.ok() && b.ok());
-  EXPECT_LT(a->output_tuples, sampled.latency_reservoir);
-  EXPECT_EQ(a->p50_latency, b->p50_latency);
-  EXPECT_EQ(a->p95_latency, b->p95_latency);
-  EXPECT_EQ(a->p99_latency, b->p99_latency);
-  EXPECT_EQ(a->max_latency, b->max_latency);
-}
-
 TEST(EngineTest, PerSinkLatencyBreakdownCoversAllSinks) {
   // Two independent chains -> two sinks with distinct ids.
   QueryGraph g;
@@ -398,7 +353,8 @@ TEST(EngineTest, LoadSheddingBoundsQueuesUnderOverload) {
   const SystemSpec system = SystemSpec::Homogeneous(1);
   SimulationOptions options;
   options.duration = 30.0;
-  options.shed_queue_threshold = 50;
+  options.queue_bound = {.capacity = 50,
+                         .policy = OverflowPolicy::kDropNewest};
   // rho = 2.0: without shedding the queue would grow to ~30k tasks.
   auto r = SimulatePlacement(g, Placement(1, {0}), system,
                              {ConstantTrace(2000.0, 30.0)}, options);
@@ -408,7 +364,7 @@ TEST(EngineTest, LoadSheddingBoundsQueuesUnderOverload) {
   const double offered =
       static_cast<double>(r->input_tuples + r->shed_tuples);
   EXPECT_NEAR(static_cast<double>(r->shed_tuples) / offered, 0.5, 0.05);
-  EXPECT_LE(r->final_backlog, options.shed_queue_threshold + 1);
+  EXPECT_LE(r->final_backlog, options.queue_bound.capacity + 1);
   // The accepted tuples are all processed: throughput = capacity.
   EXPECT_NEAR(static_cast<double>(r->output_tuples) / options.duration,
               1000.0, 60.0);
@@ -424,13 +380,14 @@ TEST(EngineTest, SheddingConservesOfferedTuples) {
   SimulationOptions options;
   options.duration = 20.0;
   options.poisson_arrivals = false;
-  options.shed_queue_threshold = 40;
+  options.queue_bound = {.capacity = 40,
+                         .policy = OverflowPolicy::kDropNewest};
   const double rate = 1800.0;  // rho = 1.8: well past the threshold
   auto r = SimulatePlacement(g, Placement(1, {0}), system,
                              {ConstantTrace(rate, options.duration)}, options);
   ASSERT_TRUE(r.ok());
   EXPECT_GT(r->shed_tuples, 0u);
-  EXPECT_LE(r->final_backlog, options.shed_queue_threshold + 1);
+  EXPECT_LE(r->final_backlog, options.queue_bound.capacity + 1);
   // Conservation: accepted + shed = offered (evenly spaced arrivals give
   // exactly rate * duration offered tuples, +/- the boundary arrival).
   const auto offered = static_cast<size_t>(rate * options.duration);
@@ -462,13 +419,14 @@ TEST(EngineTest, NoSheddingBelowThresholdOrWhenDisabled) {
   const SystemSpec system = SystemSpec::Homogeneous(1);
   SimulationOptions options;
   options.duration = 20.0;
-  options.shed_queue_threshold = 50;
+  options.queue_bound = {.capacity = 50,
+                         .policy = OverflowPolicy::kDropNewest};
   auto light = SimulatePlacement(g, Placement(1, {0}), system,
                                  {ConstantTrace(300.0, 20.0)}, options);
   ASSERT_TRUE(light.ok());
   EXPECT_EQ(light->shed_tuples, 0u);
 
-  options.shed_queue_threshold = 0;  // disabled
+  options.queue_bound.capacity = 0;  // disabled
   auto unbounded = SimulatePlacement(g, Placement(1, {0}), system,
                                      {ConstantTrace(2000.0, 20.0)}, options);
   ASSERT_TRUE(unbounded.ok());

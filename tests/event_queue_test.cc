@@ -13,14 +13,42 @@
 namespace rod::sim {
 namespace {
 
-/// Drives a calendar queue and a legacy binary heap through the same
+/// The reference (time, seq) order: a plain std::push_heap/pop_heap
+/// binary heap that stamps sequence numbers exactly like EventQueue.
+class ReferenceHeap {
+ public:
+  void Push(double time, EventType type, uint32_t index, uint64_t tag = 0) {
+    heap_.push_back(Event{time, next_seq_++, type, index, tag});
+    std::push_heap(heap_.begin(), heap_.end(), Later);
+  }
+
+  Event Pop() {
+    std::pop_heap(heap_.begin(), heap_.end(), Later);
+    const Event e = heap_.back();
+    heap_.pop_back();
+    return e;
+  }
+
+  bool empty() const { return heap_.empty(); }
+  size_t size() const { return heap_.size(); }
+
+ private:
+  static bool Later(const Event& a, const Event& b) {
+    if (a.time != b.time) return a.time > b.time;
+    return a.seq > b.seq;
+  }
+
+  std::vector<Event> heap_;
+  uint64_t next_seq_ = 0;
+};
+
+/// Drives the calendar queue and the reference heap through the same
 /// randomized push/pop schedule and asserts every popped event matches
-/// field-for-field — the bit-exact replay contract between the two
-/// implementations.
+/// field-for-field.
 void CheckCalendarMatchesHeap(uint64_t seed, size_t steps,
                               double (*next_time)(Rng&, double)) {
-  EventQueue calendar(EventQueueImpl::kCalendar);
-  EventQueue heap(EventQueueImpl::kBinaryHeap);
+  EventQueue calendar;
+  ReferenceHeap heap;
   Rng rng(seed);
   double now = 0.0;
   for (size_t step = 0; step < steps; ++step) {
@@ -122,18 +150,25 @@ TEST(EventQueueTest, InterleavedPushPop) {
 }
 
 TEST(EventQueueTest, BothImplsHonorBasicOrder) {
-  for (auto impl : {EventQueueImpl::kCalendar, EventQueueImpl::kBinaryHeap}) {
-    EventQueue q(impl);
-    q.Push(3.0, EventType::kNodeDone, 0);
-    q.Push(1.0, EventType::kExternalArrival, 1);
-    q.Push(1.0, EventType::kNodeDone, 2);  // equal-time tie: insertion order
-    q.Push(2.0, EventType::kNodeDone, 3);
-    EXPECT_EQ(q.Pop().index, 1u);
-    EXPECT_EQ(q.Pop().index, 2u);
-    EXPECT_EQ(q.Pop().index, 3u);
-    EXPECT_EQ(q.Pop().index, 0u);
-    EXPECT_TRUE(q.empty());
+  // The calendar queue and the reference heap agree on a hand-checked
+  // order, ties included.
+  EventQueue calendar;
+  ReferenceHeap heap;
+  calendar.Push(3.0, EventType::kNodeDone, 0);
+  heap.Push(3.0, EventType::kNodeDone, 0);
+  calendar.Push(1.0, EventType::kExternalArrival, 1);
+  heap.Push(1.0, EventType::kExternalArrival, 1);
+  // Equal-time tie: insertion order.
+  calendar.Push(1.0, EventType::kNodeDone, 2);
+  heap.Push(1.0, EventType::kNodeDone, 2);
+  calendar.Push(2.0, EventType::kNodeDone, 3);
+  heap.Push(2.0, EventType::kNodeDone, 3);
+  for (uint32_t expected : {1u, 2u, 3u, 0u}) {
+    EXPECT_EQ(calendar.Pop().index, expected);
+    EXPECT_EQ(heap.Pop().index, expected);
   }
+  EXPECT_TRUE(calendar.empty());
+  EXPECT_TRUE(heap.empty());
 }
 
 TEST(EventQueueTest, PropertyCalendarMatchesHeapNearMonotone) {
@@ -172,8 +207,8 @@ TEST(EventQueueTest, PropertyCalendarMatchesHeapOnIdenticalTimes) {
 TEST(EventQueueTest, PropertyCalendarSurvivesGrowShrinkCycles) {
   // Deep fill then full drain, repeated: exercises rebuild in both
   // directions with the pop order still matching the heap.
-  EventQueue calendar(EventQueueImpl::kCalendar);
-  EventQueue heap(EventQueueImpl::kBinaryHeap);
+  EventQueue calendar;
+  ReferenceHeap heap;
   Rng rng(7);
   for (int cycle = 0; cycle < 3; ++cycle) {
     for (int i = 0; i < 3000; ++i) {
@@ -193,7 +228,7 @@ TEST(EventQueueTest, PropertyCalendarSurvivesGrowShrinkCycles) {
 }
 
 TEST(EventQueueTest, ReserveDoesNotDisturbOrder) {
-  EventQueue q(EventQueueImpl::kCalendar);
+  EventQueue q;
   q.Reserve(4096);
   q.Push(2.0, EventType::kNodeDone, 0);
   q.Push(1.0, EventType::kNodeDone, 1);
@@ -202,20 +237,18 @@ TEST(EventQueueTest, ReserveDoesNotDisturbOrder) {
 }
 
 TEST(EventQueueTest, ClearResetsSequenceForReuse) {
-  for (auto impl : {EventQueueImpl::kCalendar, EventQueueImpl::kBinaryHeap}) {
-    EventQueue q(impl);
-    q.Push(1.0, EventType::kNodeDone, 0);
-    q.Push(2.0, EventType::kNodeDone, 1);
-    q.Clear();
-    EXPECT_TRUE(q.empty());
-    // Ties after Clear still resolve by (fresh) insertion order.
-    q.Push(5.0, EventType::kNodeDone, 10);
-    q.Push(5.0, EventType::kNodeDone, 11);
-    const Event first = q.Pop();
-    EXPECT_EQ(first.index, 10u);
-    EXPECT_EQ(first.seq, 0u);  // sequence counter restarted
-    EXPECT_EQ(q.Pop().index, 11u);
-  }
+  EventQueue q;
+  q.Push(1.0, EventType::kNodeDone, 0);
+  q.Push(2.0, EventType::kNodeDone, 1);
+  q.Clear();
+  EXPECT_TRUE(q.empty());
+  // Ties after Clear still resolve by (fresh) insertion order.
+  q.Push(5.0, EventType::kNodeDone, 10);
+  q.Push(5.0, EventType::kNodeDone, 11);
+  const Event first = q.Pop();
+  EXPECT_EQ(first.index, 10u);
+  EXPECT_EQ(first.seq, 0u);  // sequence counter restarted
+  EXPECT_EQ(q.Pop().index, 11u);
 }
 
 }  // namespace

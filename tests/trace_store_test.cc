@@ -25,7 +25,6 @@
 namespace rod::trace::store {
 namespace {
 
-using sim::EventQueueImpl;
 using sim::FailureSchedule;
 using sim::MaterializeArrivals;
 using sim::SimulationOptions;
@@ -437,27 +436,21 @@ TEST(TraceStoreReplayTest, GateA_StoreEqualsInMemoryReplay) {
   wopts.records_per_segment = 512;  // force many segment crossings
   ASSERT_TRUE(WriteTimestamps(arrivals[0], 0, store.path(), wopts).ok());
 
-  for (EventQueueImpl impl :
-       {EventQueueImpl::kCalendar, EventQueueImpl::kBinaryHeap}) {
-    for (size_t batch : {size_t{1}, size_t{7}, size_t{64}}) {
-      SCOPED_TRACE("impl " + std::to_string(static_cast<int>(impl)) +
-                   " batch " + std::to_string(batch));
-      SimulationOptions options = base;
-      options.event_queue = impl;
-      options.batch_size = batch;
+  for (size_t batch : {size_t{1}, size_t{7}, size_t{64}}) {
+    SCOPED_TRACE("batch " + std::to_string(batch));
+    SimulationOptions options = base;
+    options.batch_size = batch;
 
-      ReplaySet vec = ReplaySet::FromVectors({arrivals[0]});
-      const SimulationResult from_memory = RunReplay(s, options, 400.0, &vec);
+    ReplaySet vec = ReplaySet::FromVectors({arrivals[0]});
+    const SimulationResult from_memory = RunReplay(s, options, 400.0, &vec);
 
-      for (const bool use_mmap : {true, false}) {
-        ReaderOptions ropts;
-        ropts.use_mmap = use_mmap;
-        ropts.resident_segments = 2;
-        auto from_store = ReplaySet::OpenStores({store.path()}, ropts);
-        ASSERT_TRUE(from_store.ok());
-        ExpectBitExact(from_memory,
-                       RunReplay(s, options, 400.0, &*from_store));
-      }
+    for (const bool use_mmap : {true, false}) {
+      ReaderOptions ropts;
+      ropts.use_mmap = use_mmap;
+      ropts.resident_segments = 2;
+      auto from_store = ReplaySet::OpenStores({store.path()}, ropts);
+      ASSERT_TRUE(from_store.ok());
+      ExpectBitExact(from_memory, RunReplay(s, options, 400.0, &*from_store));
     }
   }
 }
@@ -472,7 +465,6 @@ TEST(TraceStoreReplayTest, GateA_HoldsUnderBackpressureAndShedding) {
   base.queue_bound.capacity = 256;
   base.backpressure.enabled = true;
   base.backpressure.high_water = 96;
-  base.shed_queue_threshold = 192;
   const auto arrivals =
       MaterializeArrivals({ConstantTrace(1200.0, base.duration)},
                           base.poisson_arrivals, base.seed, base.duration);
@@ -499,27 +491,22 @@ TEST(TraceStoreReplayTest, GateA_HoldsUnderBackpressureAndShedding) {
 /// driver.
 TEST(TraceStoreReplayTest, GateB_ReplayEqualsGeneratorRun) {
   const FanOutScenario s;
-  for (EventQueueImpl impl :
-       {EventQueueImpl::kCalendar, EventQueueImpl::kBinaryHeap}) {
-    for (size_t batch : {size_t{1}, size_t{7}, size_t{64}}) {
-      SCOPED_TRACE("impl " + std::to_string(static_cast<int>(impl)) +
-                   " batch " + std::to_string(batch));
-      SimulationOptions options;
-      options.duration = 20.0;
-      options.event_queue = impl;
-      options.batch_size = batch;
+  for (size_t batch : {size_t{1}, size_t{7}, size_t{64}}) {
+    SCOPED_TRACE("batch " + std::to_string(batch));
+    SimulationOptions options;
+    options.duration = 20.0;
+    options.batch_size = batch;
 
-      auto generated = sim::SimulatePlacement(
-          s.graph, s.plan, s.system, {ConstantTrace(400.0, options.duration)},
-          options);
-      ASSERT_TRUE(generated.ok());
+    auto generated = sim::SimulatePlacement(
+        s.graph, s.plan, s.system, {ConstantTrace(400.0, options.duration)},
+        options);
+    ASSERT_TRUE(generated.ok());
 
-      const auto arrivals = MaterializeArrivals(
-          {ConstantTrace(400.0, options.duration)}, options.poisson_arrivals,
-          options.seed, options.duration);
-      ReplaySet vec = ReplaySet::FromVectors(arrivals);
-      ExpectBitExact(*generated, RunReplay(s, options, 400.0, &vec));
-    }
+    const auto arrivals = MaterializeArrivals(
+        {ConstantTrace(400.0, options.duration)}, options.poisson_arrivals,
+        options.seed, options.duration);
+    ReplaySet vec = ReplaySet::FromVectors(arrivals);
+    ExpectBitExact(*generated, RunReplay(s, options, 400.0, &vec));
   }
 }
 
