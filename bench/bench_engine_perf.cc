@@ -5,12 +5,13 @@
 // the same with delivery batching off, and the same with a telemetry sink
 // attached) and the sweep runner (N independent runs across the thread
 // pool), reporting the median events/sec of repeated runs with its p10
-// and p90, tuples/sec, sweep wall time, and bit-exactness between every
-// configuration pair that must agree. Also runs a small telemetry-enabled
-// showcase (chaos run + parallel sweep) whose metrics snapshot is
-// embedded in the JSON and whose Chrome trace --trace exports. Emits a
-// machine-readable JSON baseline (fields documented in
-// docs/BENCH_ENGINE.md) so later changes can regress against it.
+// and p90, tuples/sec, each event type's share of the events, sweep wall
+// time, and bit-exactness between every configuration pair that must
+// agree. Also runs a small telemetry-enabled showcase (chaos run +
+// parallel sweep) whose metrics snapshot is embedded in the JSON and
+// whose Chrome trace --trace exports. Emits a machine-readable JSON
+// baseline (fields documented in docs/BENCH_ENGINE.md) so later changes
+// can regress against it.
 //
 //   bench_engine_perf [--mode smoke|full] [--json=PATH] [--trace=PATH]
 //                     [--threads=1,2,4,8] [--max-telemetry-overhead=PCT]
@@ -81,6 +82,8 @@ struct SingleRun {
   uint64_t events = 0;  ///< Events per rep (identical across reps).
   size_t input_tuples = 0;
   size_t output_tuples = 0;
+  /// Share of `events` per EventType (SimulationResult::events_by_type).
+  std::array<double, sim::kNumEventTypes> event_shares{};
   Spread events_per_sec;            ///< Default configuration.
   double tuples_per_sec = 0.0;      ///< At the median events/sec.
   Spread batch1_events_per_sec;     ///< Default with batching off.
@@ -188,6 +191,11 @@ void WriteJson(const std::string& path, const std::string& mode,
     w.Key("events").Uint(r.events);
     w.Key("input_tuples").Uint(r.input_tuples);
     w.Key("output_tuples").Uint(r.output_tuples);
+    w.Key("event_shares").BeginObjectInline();
+    for (size_t t = 0; t < sim::kNumEventTypes; ++t) {
+      w.Key(sim::kEventTypeNames[t]).Double(r.event_shares[t]);
+    }
+    w.EndObject();
     WriteSpread(w, "events_per_sec", r.events_per_sec);
     w.Key("tuples_per_sec").Double(r.tuples_per_sec);
     WriteSpread(w, "batch1_events_per_sec", r.batch1_events_per_sec);
@@ -285,6 +293,9 @@ int main(int argc, char** argv) {
                              "tel ovh%", "bitexact"});
   std::vector<SingleRun> singles;
   bool all_bitexact = true;
+  std::vector<std::string> mix_header = {"streams", "ops", "load"};
+  for (const char* name : sim::kEventTypeNames) mix_header.push_back(name);
+  bench::Table mix_table(mix_header);
 
   for (const Workload& w : workloads) {
     const Setup s = MakeSetup(w, duration, /*seed=*/0xe9f0 + w.total_ops());
@@ -349,6 +360,16 @@ int main(int argc, char** argv) {
     r.events = results[kFast].processed_events;
     r.input_tuples = results[kFast].input_tuples;
     r.output_tuples = results[kFast].output_tuples;
+    std::vector<std::string> mix_row = {std::to_string(w.streams),
+                                        std::to_string(w.total_ops()),
+                                        bench::Fmt(w.load_level, 1)};
+    for (size_t t = 0; t < sim::kNumEventTypes; ++t) {
+      r.event_shares[t] =
+          static_cast<double>(results[kFast].events_by_type[t]) /
+          static_cast<double>(r.events);
+      mix_row.push_back(bench::Fmt(100.0 * r.event_shares[t], 1));
+    }
+    mix_table.AddRow(mix_row);
     r.events_per_sec = SpreadOf(rates[kFast]);
     // Every rep runs the same events, so the median rate scales to tuples.
     r.tuples_per_sec = r.events_per_sec.median *
@@ -384,6 +405,8 @@ int main(int argc, char** argv) {
          r.bitexact_vs_batch1 && r.bitexact_vs_telemetry ? "yes" : "NO"});
   }
   single_table.Print();
+  bench::Banner("event mix by type (% of events, default configuration)");
+  mix_table.Print();
 
   bench::Banner("sweep runner wall time (largest workload)");
   bench::Table sweep_table(

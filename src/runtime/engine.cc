@@ -474,8 +474,7 @@ Result<SimulationResult> Simulate(const Deployment& deployment,
     }
     fl.service = node.ServiceTime(cpu);
     inflight[node_id] = fl;
-    events.Push(now + fl.service, EventType::kNodeDone, node_id,
-                ++service_token[node_id]);
+    events.PushCompletion(now + fl.service, node_id, ++service_token[node_id]);
   };
 
   // Flags `n` congested once its tuple queue reaches the high-water mark.
@@ -747,6 +746,7 @@ Result<SimulationResult> Simulate(const Deployment& deployment,
   telemetry::TraceSpan run_span(tel, "engine", "run");
 
   uint64_t processed_events = 0;
+  std::array<uint64_t, kNumEventTypes> events_by_type{};
   while (!events.empty()) {
     const Event ev = events.Pop();
     if (ev.time > options.duration) break;
@@ -761,6 +761,7 @@ Result<SimulationResult> Simulate(const Deployment& deployment,
     }
 
     processed_events += batch_n;
+    events_by_type[static_cast<size_t>(ev.type)] += batch_n;
 
     if (processed_events > options.max_events) {
       // Name the hot spot so runaway-load aborts are diagnosable.
@@ -1100,6 +1101,7 @@ Result<SimulationResult> Simulate(const Deployment& deployment,
   // Assemble results.
   SimulationResult result;
   result.processed_events = processed_events;
+  result.events_by_type = events_by_type;
   result.input_tuples = metrics.inputs();
   // Degradation accounting: close out stall intervals still open at the
   // horizon, then fold the breakdown into the headline counters.

@@ -11,6 +11,7 @@
 #ifndef ROD_RUNTIME_ENGINE_H_
 #define ROD_RUNTIME_ENGINE_H_
 
+#include <array>
 #include <cstdint>
 #include <optional>
 #include <vector>
@@ -20,6 +21,7 @@
 #include "query/query_graph.h"
 #include "runtime/chaos.h"
 #include "runtime/deployment.h"
+#include "runtime/event.h"
 #include "runtime/node.h"
 #include "trace/trace.h"
 
@@ -283,6 +285,11 @@ struct SimulationResult {
   /// Discrete events executed by the run (throughput denominator for
   /// bench_engine_perf).
   uint64_t processed_events = 0;
+
+  /// processed_events by type, indexed by EventType. A delivery batch
+  /// counts once per tuple and a crash-cancelled completion counts as
+  /// kNodeDone, so the entries sum to processed_events.
+  std::array<uint64_t, kNumEventTypes> events_by_type{};
 
   /// Degradation accounting: what the overload machinery (bounded
   /// queues, backpressure, control-loop shedding) did this run. All

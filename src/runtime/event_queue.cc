@@ -32,7 +32,7 @@ void EventQueue::Rebuild(size_t new_bucket_count) {
                               /*has_arg=*/true);
   }
   scratch_.clear();
-  scratch_.reserve(size_);
+  scratch_.reserve(cal_size_);
   for (auto& bucket : buckets_) {
     scratch_.insert(scratch_.end(), bucket.begin(), bucket.end());
     bucket.clear();
@@ -80,15 +80,25 @@ void EventQueue::Reserve(size_t n) {
   while (bucket_count < kMaxBuckets && 2 * bucket_count < n) {
     bucket_count *= 2;
   }
-  if (bucket_count > buckets_.size() && size_ == 0) {
+  if (bucket_count > buckets_.size() && cal_size_ == 0) {
     buckets_.resize(bucket_count);
     mask_ = bucket_count - 1;
   }
 }
 
+void EventQueue::Spill(uint32_t node) {
+  PushCalendar(slots_[node]);
+  slots_[node].time = kVacant;
+  --slotted_;
+  earliest_slot_ = EarliestSlot();
+}
+
 void EventQueue::Clear() {
   for (auto& bucket : buckets_) bucket.clear();
-  size_ = 0;
+  cal_size_ = 0;
+  slots_.clear();
+  slotted_ = 0;
+  earliest_slot_ = 0;
   next_seq_ = 0;
   pending_high_water_ = 0;
   base_ = 0.0;

@@ -32,14 +32,14 @@ MetricsCollector::MetricsCollector(size_t num_nodes, double window_sec,
   assert(num_nodes > 0 && window_sec > 0 && duration > 0);
 }
 
-void MetricsCollector::SwitchSink(uint32_t sink_op) {
-  auto [it, inserted] = sinks_.try_emplace(sink_op);
-  if (inserted) {
-    it->second.samples = ReservoirSampler(
-        stats_options_.reservoir, SinkSeed(stats_options_.seed, sink_op));
+void MetricsCollector::GrowSinks(size_t count) {
+  for (size_t op = sinks_.size(); op < count; ++op) {
+    sinks_.push_back(SinkAccumulator{
+        {},
+        ReservoirSampler(stats_options_.reservoir,
+                         SinkSeed(stats_options_.seed,
+                                  static_cast<uint32_t>(op)))});
   }
-  last_sink_ = sink_op;
-  last_acc_ = &it->second;
 }
 
 namespace {
@@ -94,9 +94,11 @@ LatencySummary MetricsCollector::TotalLatency() const {
 std::vector<std::pair<uint32_t, LatencySummary>>
 MetricsCollector::SinkSummaries() const {
   std::vector<std::pair<uint32_t, LatencySummary>> out;
-  out.reserve(sinks_.size());
-  for (const auto& [op, acc] : sinks_) {
-    out.emplace_back(op, Summarize(acc.stats, acc.samples));
+  for (uint32_t op = 0; op < sinks_.size(); ++op) {
+    const SinkAccumulator& acc = sinks_[op];
+    if (acc.stats.count() > 0) {
+      out.emplace_back(op, Summarize(acc.stats, acc.samples));
+    }
   }
   return out;
 }
@@ -104,8 +106,7 @@ MetricsCollector::SinkSummaries() const {
 const std::vector<double>& MetricsCollector::SinkSamples(
     uint32_t sink_op) const {
   static const std::vector<double> kEmpty;
-  auto it = sinks_.find(sink_op);
-  return it == sinks_.end() ? kEmpty : it->second.samples.samples();
+  return sink_op < sinks_.size() ? sinks_[sink_op].samples.samples() : kEmpty;
 }
 
 double MetricsCollector::NodeUtilization(size_t node,

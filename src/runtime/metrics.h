@@ -19,7 +19,6 @@
 #include <cassert>
 #include <cstddef>
 #include <cstdint>
-#include <map>
 #include <vector>
 
 #include "common/matrix.h"
@@ -69,11 +68,10 @@ class MetricsCollector {
     total_stats_.Add(latency);
     total_samples_.Add(latency);
     if (exact()) output_times_.push_back(completion_time);
-    if (sink_op != last_sink_ || last_acc_ == nullptr) {
-      SwitchSink(sink_op);
-    }
-    last_acc_->stats.Add(latency);
-    last_acc_->samples.Add(latency);
+    if (sink_op >= sinks_.size()) GrowSinks(sink_op + 1);
+    SinkAccumulator& acc = sinks_[sink_op];
+    acc.stats.Add(latency);
+    acc.samples.Add(latency);
   }
 
   /// Records one external input tuple.
@@ -154,20 +152,18 @@ class MetricsCollector {
   static LatencySummary Summarize(const RunningStats& stats,
                                   const ReservoirSampler& samples);
 
-  /// Cold tail of RecordOutput: look up (or create) the accumulator of a
-  /// sink other than the cached one.
-  void SwitchSink(uint32_t sink_op);
+  /// Cold tail of RecordOutput: extends the sink table to `count`
+  /// operator ids, each with its own reservoir seed.
+  void GrowSinks(size_t count);
 
   size_t inputs_ = 0;
   LatencyStatsOptions stats_options_;
   RunningStats total_stats_;
   ReservoirSampler total_samples_;
   std::vector<double> output_times_;  ///< Exact mode only.
-  std::map<uint32_t, SinkAccumulator> sinks_;
-  // Most runs have a handful of sinks and long same-sink bursts; cache
-  // the last accumulator to skip the map lookup on the hot path.
-  uint32_t last_sink_ = UINT32_MAX;
-  SinkAccumulator* last_acc_ = nullptr;
+  /// Indexed by operator id, up to the largest sink seen; an id with no
+  /// outputs (not a sink, or a sink that never emitted) has count 0.
+  std::vector<SinkAccumulator> sinks_;
   Vector node_busy_;      ///< total busy seconds per node
   Matrix window_busy_;    ///< busy seconds per (window, node)
   double window_sec_;

@@ -14,11 +14,16 @@ namespace rod::sim {
 namespace {
 
 /// The reference (time, seq) order: a plain std::push_heap/pop_heap
-/// binary heap that stamps sequence numbers exactly like EventQueue.
+/// binary heap. Push stamps sequence numbers exactly like EventQueue;
+/// PushStamped takes an event with the seq the queue stamped on it.
 class ReferenceHeap {
  public:
   void Push(double time, EventType type, uint32_t index, uint64_t tag = 0) {
-    heap_.push_back(Event{time, next_seq_++, type, index, tag});
+    PushStamped(Event{time, next_seq_++, type, index, tag});
+  }
+
+  void PushStamped(const Event& e) {
+    heap_.push_back(e);
     std::push_heap(heap_.begin(), heap_.end(), Later);
   }
 
@@ -31,6 +36,11 @@ class ReferenceHeap {
 
   bool empty() const { return heap_.empty(); }
   size_t size() const { return heap_.size(); }
+
+  void Clear() {
+    heap_.clear();
+    next_seq_ = 0;
+  }
 
  private:
   static bool Later(const Event& a, const Event& b) {
@@ -82,6 +92,76 @@ void CheckCalendarMatchesHeap(uint64_t seed, size_t steps,
   EXPECT_TRUE(heap.empty());
 }
 
+/// Drives the queue, its calendar and `num_slots` completion slots, and
+/// the reference heap through one seeded schedule of pushes, pops and
+/// Clear() calls. The heap gets every event with the seq the queue
+/// stamped on it; pop order, size() and empty() must agree at every step.
+/// Times mix near-monotone draws, a coarse grid (exact ties, including
+/// with the clock), repeats of the previous push's time (a slot and a
+/// calendar event at one instant) and a few pushes behind the clock;
+/// completions for a few slots arrive faster than they pop, so many land
+/// in an occupied slot and spill.
+void CheckSlotsMatchHeap(uint64_t seed, size_t steps, uint32_t num_slots) {
+  EventQueue queue;
+  ReferenceHeap heap;
+  Rng rng(seed);
+  double now = 0.0;
+  double last_pushed = 0.0;
+  for (size_t step = 0; step < steps; ++step) {
+    ASSERT_EQ(queue.size(), heap.size());
+    ASSERT_EQ(queue.empty(), heap.empty());
+    const double action = rng.NextDouble();
+    if (action < 0.002) {
+      queue.Clear();
+      heap.Clear();
+      now = 0.0;
+      last_pushed = 0.0;
+      continue;
+    }
+    if (queue.empty() || action < 0.56) {
+      const double draw = rng.NextDouble();
+      double t = last_pushed;
+      if (draw < 0.45) {
+        t = now + rng.Exponential(10.0);
+      } else if (draw < 0.75) {
+        t = now + 0.25 * static_cast<double>(rng.NextIndex(4));
+      } else if (draw < 0.95) {
+        t = last_pushed;
+      } else {
+        t = std::max(0.0, now - rng.NextDouble());
+      }
+      Event e{t, queue.next_seq(), EventType::kNodeDone, 0, rng.NextU64()};
+      if (rng.NextDouble() < 0.6) {
+        e.index = static_cast<uint32_t>(rng.NextIndex(num_slots));
+        queue.PushCompletion(e.time, e.index, e.tag);
+      } else {
+        e.type = static_cast<EventType>(rng.NextIndex(kNumEventTypes));
+        e.index = static_cast<uint32_t>(rng.NextIndex(64));
+        queue.Push(e.time, e.type, e.index, e.tag);
+      }
+      heap.PushStamped(e);
+      last_pushed = t;
+    } else {
+      const Event a = queue.Pop();
+      const Event b = heap.Pop();
+      ASSERT_EQ(a.time, b.time);
+      ASSERT_EQ(a.seq, b.seq);
+      ASSERT_EQ(a.type, b.type);
+      ASSERT_EQ(a.index, b.index);
+      ASSERT_EQ(a.tag, b.tag);
+      now = a.time;
+    }
+  }
+  while (!queue.empty()) {
+    ASSERT_EQ(queue.size(), heap.size());
+    const Event a = queue.Pop();
+    const Event b = heap.Pop();
+    ASSERT_EQ(a.time, b.time);
+    ASSERT_EQ(a.seq, b.seq);
+  }
+  EXPECT_TRUE(heap.empty());
+}
+
 TEST(EventQueueTest, EmptyInitially) {
   EventQueue q;
   EXPECT_TRUE(q.empty());
@@ -107,13 +187,6 @@ TEST(EventQueueTest, EqualTimesPopInInsertionOrder) {
     const Event e = q.Pop();
     EXPECT_EQ(e.index, i);
   }
-}
-
-TEST(EventQueueTest, TopDoesNotRemove) {
-  EventQueue q;
-  q.Push(1.0, EventType::kExternalArrival, 7);
-  EXPECT_EQ(q.Top().index, 7u);
-  EXPECT_EQ(q.size(), 1u);
 }
 
 TEST(EventQueueTest, CarriesTypeAndIndex) {
@@ -224,6 +297,37 @@ TEST(EventQueueTest, PropertyCalendarSurvivesGrowShrinkCycles) {
       ASSERT_EQ(a.index, b.index);
     }
     EXPECT_TRUE(heap.empty());
+  }
+}
+
+TEST(EventQueueTest, SlotsTieAndSpillInSeqOrder) {
+  // Hand-checked: slot and calendar events at one instant pop by seq, and
+  // a completion pushed into an occupied slot spills the old one, which
+  // keeps its seq and payload.
+  EventQueue q;
+  q.Push(1.0, EventType::kExternalArrival, 7);  // seq 0
+  q.PushCompletion(1.0, 2, 70);                 // seq 1
+  q.PushCompletion(2.0, 3, 80);                 // seq 2
+  q.Push(2.0, EventType::kFault, 8);            // seq 3
+  q.PushCompletion(1.5, 3, 90);                 // seq 4, spills seq 2
+  EXPECT_EQ(q.size(), 5u);
+  EXPECT_EQ(q.Pop().seq, 0u);
+  EXPECT_EQ(q.Pop().seq, 1u);
+  EXPECT_EQ(q.Pop().tag, 90u);
+  const Event spilled = q.Pop();
+  EXPECT_EQ(spilled.seq, 2u);
+  EXPECT_EQ(spilled.type, EventType::kNodeDone);
+  EXPECT_EQ(spilled.index, 3u);
+  EXPECT_EQ(spilled.tag, 80u);
+  EXPECT_EQ(q.Pop().seq, 3u);
+  EXPECT_TRUE(q.empty());
+}
+
+TEST(EventQueueTest, PropertySlotsMatchHeap) {
+  for (uint32_t num_slots : {1u, 3u, 5u}) {
+    for (uint64_t seed : {21u, 22u, 23u}) {
+      CheckSlotsMatchHeap(seed * 10 + num_slots, 20000, num_slots);
+    }
   }
 }
 

@@ -4,8 +4,9 @@
 // engine (event order, batching, metrics, incident accounting) fails
 // here even when both sides of an in-build comparison move together.
 // The literals were taken from a build before the engine dropped its
-// selectable event queue and percentile knobs; a change that means to
-// move them must say so and re-pin.
+// selectable event queue and percentile knobs (the restart case's: before
+// service completions moved into per-node queue slots); a change that
+// means to move them must say so and re-pin.
 
 #include <gtest/gtest.h>
 
@@ -37,6 +38,9 @@ trace::RateTrace ConstantTrace(double rate, double duration) {
 void ExpectCounts(const SimulationResult& r, uint64_t events, size_t in,
                   size_t out, size_t shed) {
   EXPECT_EQ(r.processed_events, events);
+  uint64_t by_type = 0;
+  for (uint64_t n : r.events_by_type) by_type += n;
+  EXPECT_EQ(by_type, r.processed_events);
   EXPECT_EQ(r.input_tuples, in);
   EXPECT_EQ(r.output_tuples, out);
   EXPECT_EQ(r.shed_tuples, shed);
@@ -175,6 +179,55 @@ TEST(PinnedResultsTest, SupervisedCrash) {
   EXPECT_TRUE(inc.recovered);
   EXPECT_DOUBLE_EQ(inc.recovery_time, 0.0);
   EXPECT_DOUBLE_EQ(inc.post_recovery.p99, 0.0043775194520257778);
+}
+
+TEST(PinnedResultsTest, RestartBeforeACancelledCompletion) {
+  // Node 1 runs a 50 ms operator x (stream S, 10/s) beside a 1 ms
+  // operator y (stream T through a filter on node 0, ~100/s). It crashes
+  // four times and recovers 2 ms after each crash, with no supervisor.
+  // The crashes at 3, 9 and 12 s land in the middle of an x service and
+  // cancel a completion that is still 15-48 ms away when the node comes
+  // back, and the next tuple for y starts a new service before that time.
+  // The node then has two completions pending at once: the new one takes
+  // the node's completion slot in the event queue, and the cancelled one
+  // spills into the calendar, where it still pops (counted as a
+  // processed kNodeDone) and is discarded.
+  QueryGraph g;
+  const InputStreamId s = g.AddInputStream("S");
+  const InputStreamId t = g.AddInputStream("T");
+  ASSERT_TRUE(g.AddOperator({.name = "x", .kind = OperatorKind::kMap,
+                             .cost = 0.05, .selectivity = 1.0},
+                            {StreamRef::Input(s)})
+                  .ok());
+  auto f = g.AddOperator({.name = "f", .kind = OperatorKind::kFilter,
+                          .cost = 2e-4, .selectivity = 0.9},
+                         {StreamRef::Input(t)});
+  ASSERT_TRUE(f.ok());
+  ASSERT_TRUE(g.AddOperator({.name = "y", .kind = OperatorKind::kMap,
+                             .cost = 1e-3, .selectivity = 1.0},
+                            {StreamRef::Op(*f)})
+                  .ok());
+  FailureSchedule chaos;
+  for (double at : {3.0, 6.0, 9.0, 12.0}) {
+    chaos.CrashAt(at, 1).RecoverAt(at + 0.002, 1);
+  }
+  SimulationOptions options;
+  options.duration = 15.0;
+  options.failures = &chaos;
+  auto r = SimulatePlacement(
+      g, Placement(2, {1, 0, 1}), SystemSpec::Homogeneous(2),
+      {ConstantTrace(10.0, 15.0), ConstantTrace(110.0, 15.0)}, options);
+  ASSERT_TRUE(r.ok());
+  ASSERT_TRUE(r->incident.has_value());
+  const IncidentReport& inc = *r->incident;
+  ExpectCounts(*r, 6337, 1732, 1556, 0);
+  EXPECT_EQ(inc.lost_queued, 12u);
+  EXPECT_EQ(inc.lost_inflight, 3u);
+  EXPECT_EQ(inc.lost_tuples, 15u);
+  ExpectLatencies(*r, 0.024821461768015668, 0.0038854712889961895,
+                  0.086174874325280593, 0.1250746507291782,
+                  0.15899206524818865);
+  ExpectUtilization(*r, {0.021319999999988671, 0.52762738840814938});
 }
 
 }  // namespace
