@@ -62,17 +62,9 @@ struct Workload {
 /// which full mode runs too, so a full-mode baseline sets a smoke floor.
 constexpr Workload kGateWorkload{4, 25, 0.8};
 
-/// Median and 10th/90th percentiles of one configuration's per-rep rate.
-struct Spread {
-  double median = 0.0;
-  double p10 = 0.0;
-  double p90 = 0.0;
-};
-
-Spread SpreadOf(const std::vector<double>& values) {
-  return {Percentile(values, 0.5), Percentile(values, 0.1),
-          Percentile(values, 0.9)};
-}
+using bench::Spread;
+using bench::SpreadOf;
+using bench::WriteSpread;
 
 struct SingleRun {
   Workload w;
@@ -92,13 +84,6 @@ struct SingleRun {
   bool bitexact_vs_batch1 = false;  ///< default == batch_size 1, incl. p99.
   bool bitexact_vs_telemetry = false;
 };
-
-void WriteSpread(telemetry::JsonWriter& w, const std::string& key,
-                 const Spread& s) {
-  w.Key(key).Double(s.median);
-  w.Key(key + "_p10").Double(s.p10);
-  w.Key(key + "_p90").Double(s.p90);
-}
 
 struct SweepRun {
   Workload w;

@@ -1,10 +1,11 @@
 // Micro-benchmark M1: ROD placement runtime scaling in the number of
-// operators m, nodes n, and input streams d. ROD is O(m n D) per run plus
-// the O(m log m) sort — static placement must be cheap enough to rerun on
-// every provisioning change. Random-tree operators load exactly one
-// stream, so the candidate scan reads cached weights on d - 1 of every d
-// axes; BM_RodPlaceMatrixDense loads every axis of every unit, the other
-// side of that sparsity.
+// operators m, nodes n, and input streams d. Each unit is scored on every
+// node from per-node row summaries, at O(|K|) for the |K| axes it loads,
+// plus O(d) for the few nodes whose plane distance is computed exactly,
+// and the operators are sorted in O(m log m) — static placement must be
+// cheap enough to rerun on every provisioning change. Random-tree
+// operators load exactly one stream; BM_RodPlaceMatrixDense loads every
+// axis of every unit, the other side of that sparsity.
 
 #include <benchmark/benchmark.h>
 
@@ -44,14 +45,16 @@ void BM_RodPlace(benchmark::State& state) {
 }
 
 void BM_RodPlaceLowerBound(benchmark::State& state) {
-  const size_t dims = 5;
+  const size_t total_ops = static_cast<size_t>(state.range(0));
+  const size_t nodes = static_cast<size_t>(state.range(1));
+  const size_t dims = static_cast<size_t>(state.range(2));
   rod::query::GraphGenOptions gen;
   gen.num_input_streams = dims;
-  gen.ops_per_tree = 40;
+  gen.ops_per_tree = std::max<size_t>(1, total_ops / dims);
   rod::Rng rng(43);
   const rod::query::QueryGraph g = rod::query::GenerateRandomTrees(gen, rng);
   auto model = rod::query::BuildLoadModel(g);
-  const SystemSpec system = SystemSpec::Homogeneous(8);
+  const SystemSpec system = SystemSpec::Homogeneous(nodes);
   rod::place::RodOptions options;
   options.lower_bound.assign(dims, 0.01);
 
@@ -108,11 +111,13 @@ BENCHMARK(BM_RodPlace)
 BENCHMARK(BM_RodPlace)->Args({400, 2, 5})->Args({400, 16, 5})->Args({400, 64, 5});
 // Scale d with m = 400, n = 8.
 BENCHMARK(BM_RodPlace)->Args({400, 8, 2})->Args({400, 8, 8})->Args({400, 8, 16});
-// The place_scale shape: 10,000 operators, 256 nodes, 10 streams.
-BENCHMARK(BM_RodPlace)->Args({10000, 256, 10});
+// A coordinator-sized shape (1,000 operators, 64 nodes) and the
+// place_scale shape (10,000 operators, 256 nodes), both on 10 streams.
+BENCHMARK(BM_RodPlace)->Args({1000, 64, 10})->Args({10000, 256, 10});
 // Dense rows at the same shapes: every axis changes with every unit.
 BENCHMARK(BM_RodPlaceMatrixDense)->Args({400, 8, 5})->Args({10000, 256, 10});
-BENCHMARK(BM_RodPlaceLowerBound);
+// The §6.1 lower bound (0.01 per stream), small and at place_scale size.
+BENCHMARK(BM_RodPlaceLowerBound)->Args({200, 8, 5})->Args({10000, 256, 10});
 BENCHMARK(BM_BuildLoadModel)->Arg(100)->Arg(1000)->Arg(10000);
 
 ROD_MICRO_BENCH_MAIN()

@@ -128,6 +128,27 @@ inline void WriteBuildMetadata(telemetry::JsonWriter& w) {
   w.EndObject();
 }
 
+/// Median and 10th/90th percentiles of a configuration's repeated
+/// measurements: the shape every perf bench reports a rate in.
+struct Spread {
+  double median = 0.0;
+  double p10 = 0.0;
+  double p90 = 0.0;
+};
+
+inline Spread SpreadOf(const std::vector<double>& values) {
+  return {Percentile(values, 0.5), Percentile(values, 0.1),
+          Percentile(values, 0.9)};
+}
+
+/// Writes `key` (the median), `key_p10` and `key_p90`.
+inline void WriteSpread(telemetry::JsonWriter& w, const std::string& key,
+                        const Spread& s) {
+  w.Key(key).Double(s.median);
+  w.Key(key + "_p10").Double(s.p10);
+  w.Key(key + "_p90").Double(s.p90);
+}
+
 /// The high-water gauges the Aggregator re-arms after every sample (see
 /// Gauge::Max): peak thread-pool queue depth, peak event-queue size, and
 /// the engine's peak per-node tuple-queue depth.

@@ -16,13 +16,16 @@
 //                     [--threads=1,2,4,8] [--min-simd-speedup=X]
 //
 // --smoke shrinks the sweep for CI; --json defaults to BENCH_volume.json.
-// --min-simd-speedup=X exits non-zero unless the SIMD path beats the
-// scalar path by at least X at the largest single-threaded workload
-// (skipped with a note when the SIMD path is unavailable, e.g. under
-// ROD_DISABLE_SIMD). --trace attaches a telemetry sink to the shared
-// thread pool and exports a Chrome trace of the pool's task spans (note:
-// the per-task spans add measurable overhead, so trace-enabled throughput
-// numbers are not comparable to the committed baseline).
+// Each row is timed 5 (smoke) or 7 (full) times, interleaved with the
+// other rows of its block, and reports the median samples/sec with p10
+// and p90. --min-simd-speedup=X exits non-zero unless the SIMD path's
+// median beats the scalar path's by at least X at the largest
+// single-threaded workload (skipped with a note when the SIMD path is
+// unavailable, e.g. under ROD_DISABLE_SIMD). --trace attaches a telemetry
+// sink to the shared thread pool and exports a Chrome trace of the pool's
+// task spans (note: the per-task spans add measurable overhead, so
+// trace-enabled throughput numbers are not comparable to the committed
+// baseline).
 
 #include <chrono>
 #include <fstream>
@@ -51,17 +54,17 @@ struct Workload {
 };
 
 struct Measurement {
-  size_t dims, nodes, samples, threads, reps;
+  size_t dims, nodes, samples, threads, reps, measurements;
   std::string simd_path;  ///< kernel path this row ran on: "avx2"/"scalar"
   double ratio = 0.0;
-  double seconds = 0.0;
-  double samples_per_sec = 0.0;
-  double speedup_vs_1 = 0.0;
+  double seconds = 0.0;  ///< Median wall time of one measurement.
+  bench::Spread samples_per_sec;  ///< Over the row's measurements.
+  double speedup_vs_1 = 0.0;      ///< Medians.
   bool bitexact_vs_seq = false;
   /// SIMD and scalar paths agree on the estimate (trivially true on the
   /// scalar rows; checked against the scalar run on the SIMD rows).
   bool bitexact_vs_scalar = false;
-  /// SIMD-path throughput over the scalar path at the same
+  /// SIMD-path median throughput over the scalar path's at the same
   /// (dims, nodes, samples, threads); 0 on scalar rows.
   double simd_speedup_vs_scalar = 0.0;
   double cache_cold_ms = 0.0;
@@ -145,10 +148,11 @@ void WriteJson(const std::string& path, const std::string& mode,
     w.Key("samples").Uint(m.samples);
     w.Key("threads").Uint(m.threads);
     w.Key("reps").Uint(m.reps);
+    w.Key("measurements").Uint(m.measurements);
     w.Key("simd_path").String(m.simd_path);
     w.Key("ratio").Double(m.ratio);
     w.Key("seconds").Double(m.seconds);
-    w.Key("samples_per_sec").Double(m.samples_per_sec);
+    bench::WriteSpread(w, "samples_per_sec", m.samples_per_sec);
     w.Key("speedup_vs_1").Double(m.speedup_vs_1);
     w.Key("bitexact_vs_seq").Bool(m.bitexact_vs_seq);
     w.Key("bitexact_vs_scalar").Bool(m.bitexact_vs_scalar);
@@ -214,6 +218,7 @@ int main(int argc, char** argv) {
       smoke ? std::vector<size_t>{8192} : std::vector<size_t>{16384, 32768};
   // Samples evaluated per timed measurement (reps = target / samples).
   const size_t target_evals = smoke ? (1u << 17) : (1u << 22);
+  const size_t measurements = smoke ? 5 : 7;
 
   // Kernel paths to sweep: the runtime-dispatched SIMD path first (when
   // compiled in, supported by this CPU, and not vetoed by
@@ -227,8 +232,8 @@ int main(int argc, char** argv) {
 
   bench::Banner("volume-engine perf sweep (dims x nodes x samples x threads)");
   bench::Table table({"path", "dims", "nodes", "samples", "threads",
-                      "Msamples/s", "speedup", "vs scalar", "bitexact",
-                      "cold ms", "warm ms"});
+                      "Msamples/s", "p10", "p90", "speedup", "vs scalar",
+                      "bitexact", "cold ms", "warm ms"});
   std::vector<Measurement> rows;
   bool all_bitexact = true;
   // SIMD-vs-scalar throughput at the largest workload, threads_list[0]
@@ -255,57 +260,81 @@ int main(int argc, char** argv) {
       const double warm_ms = SecondsSince(t_warm) * 1e3;
 
       const size_t reps = std::max<size_t>(1, target_evals / samples);
-      // Scalar-path results of this (samples) block, keyed by position in
-      // threads_list, for the SIMD rows' vs-scalar columns. The scalar
-      // pass runs last, so compare SIMD rows retroactively.
-      std::vector<size_t> simd_rows(threads_list.size(), SIZE_MAX);
+      // Every (path, threads) row of this block is timed `measurements`
+      // times, round-robin (avx2 t1, avx2 t2, ..., scalar t1, ..., then
+      // again), so the throughput drift of shared hardware reaches every
+      // row alike; each row reports its median with p10 and p90.
+      struct Timed {
+        bool simd = false;
+        size_t threads = 0;
+        double ratio = 0.0;
+        bool stable = true;  ///< every measurement gave `ratio`
+        std::vector<double> rates, seconds;
+      };
+      std::vector<Timed> block;
       for (bool use_simd : simd_modes) {
-        geom::SetSimdKernelEnabled(use_simd);
-        double base_sps = 0.0;
-        double seq_ratio = 0.0;
-        for (size_t ti = 0; ti < threads_list.size(); ++ti) {
-          const size_t threads = threads_list[ti];
+        for (size_t threads : threads_list) {
+          Timed t;
+          t.simd = use_simd;
+          t.threads = threads;
+          geom::SetSimdKernelEnabled(use_simd);
           vol.num_threads = threads;
-          (void)fs.RatioToIdeal(vol);  // warm the global cache / pool
+          t.ratio = fs.RatioToIdeal(vol);  // warm the global cache / pool
+          block.push_back(std::move(t));
+        }
+      }
+      for (size_t r = 0; r < measurements; ++r) {
+        for (Timed& t : block) {
+          geom::SetSimdKernelEnabled(t.simd);
+          vol.num_threads = t.threads;
           double ratio = 0.0;
           const auto t0 = std::chrono::steady_clock::now();
-          for (size_t r = 0; r < reps; ++r) ratio = fs.RatioToIdeal(vol);
+          for (size_t rep = 0; rep < reps; ++rep) ratio = fs.RatioToIdeal(vol);
           const double secs = SecondsSince(t0);
-          Measurement m;
-          m.dims = w.dims;
-          m.nodes = w.nodes;
-          m.samples = samples;
-          m.threads = threads;
-          m.reps = reps;
-          m.simd_path = geom::ActiveSimdIsa();
-          m.ratio = ratio;
-          m.seconds = secs;
-          m.samples_per_sec =
-              static_cast<double>(samples) * static_cast<double>(reps) / secs;
-          if (ti == 0) {
-            base_sps = m.samples_per_sec;
-            seq_ratio = ratio;
-          }
-          m.speedup_vs_1 = m.samples_per_sec / base_sps;
-          m.bitexact_vs_seq = (ratio == seq_ratio);
-          m.bitexact_vs_scalar = !use_simd;  // SIMD rows fixed below
-          m.cache_cold_ms = cold_ms;
-          m.cache_warm_ms = warm_ms;
-          rows.push_back(m);
-          if (use_simd) {
-            simd_rows[ti] = rows.size() - 1;
-          } else if (simd_rows[ti] != SIZE_MAX) {
-            Measurement& sm = rows[simd_rows[ti]];
-            sm.bitexact_vs_scalar = (sm.ratio == m.ratio);
-            sm.simd_speedup_vs_scalar = sm.samples_per_sec / m.samples_per_sec;
-            if (ti == 0 && w.dims == workloads.back().dims &&
-                w.nodes == workloads.back().nodes &&
-                samples == sample_counts.back()) {
-              gate_simd_speedup = sm.simd_speedup_vs_scalar;
-            }
-          }
-          all_bitexact = all_bitexact && m.bitexact_vs_seq;
+          t.rates.push_back(static_cast<double>(samples) *
+                            static_cast<double>(reps) / secs);
+          t.seconds.push_back(secs);
+          t.stable = t.stable && ratio == t.ratio;
         }
+      }
+      // Rows in block order; a path's first row is its 1-thread base, and
+      // the scalar rows (which come after) fill in the SIMD rows'
+      // vs-scalar columns.
+      const size_t first_row = rows.size();
+      for (size_t b = 0; b < block.size(); ++b) {
+        const Timed& t = block[b];
+        const size_t ti = b % threads_list.size();
+        Measurement m;
+        m.dims = w.dims;
+        m.nodes = w.nodes;
+        m.samples = samples;
+        m.threads = t.threads;
+        m.reps = reps;
+        m.measurements = measurements;
+        geom::SetSimdKernelEnabled(t.simd);
+        m.simd_path = geom::ActiveSimdIsa();
+        m.ratio = t.ratio;
+        m.seconds = Percentile(t.seconds, 0.5);
+        m.samples_per_sec = bench::SpreadOf(t.rates);
+        const Measurement& base = ti == 0 ? m : rows[rows.size() - ti];
+        m.speedup_vs_1 = m.samples_per_sec.median / base.samples_per_sec.median;
+        m.bitexact_vs_seq = t.stable && m.ratio == base.ratio;
+        m.bitexact_vs_scalar = !t.simd;  // SIMD rows fixed below
+        m.cache_cold_ms = cold_ms;
+        m.cache_warm_ms = warm_ms;
+        if (!t.simd && simd_available) {
+          Measurement& sm = rows[first_row + ti];
+          sm.bitexact_vs_scalar = sm.ratio == m.ratio;
+          sm.simd_speedup_vs_scalar =
+              sm.samples_per_sec.median / m.samples_per_sec.median;
+          if (ti == 0 && w.dims == workloads.back().dims &&
+              w.nodes == workloads.back().nodes &&
+              samples == sample_counts.back()) {
+            gate_simd_speedup = sm.simd_speedup_vs_scalar;
+          }
+        }
+        all_bitexact = all_bitexact && m.bitexact_vs_seq;
+        rows.push_back(m);
       }
       for (const Measurement& m : rows) {
         if (m.dims != w.dims || m.nodes != w.nodes || m.samples != samples) {
@@ -315,7 +344,9 @@ int main(int argc, char** argv) {
         table.AddRow({m.simd_path, std::to_string(m.dims),
                       std::to_string(m.nodes), std::to_string(m.samples),
                       std::to_string(m.threads),
-                      bench::Fmt(m.samples_per_sec / 1e6, 1),
+                      bench::Fmt(m.samples_per_sec.median / 1e6, 1),
+                      bench::Fmt(m.samples_per_sec.p10 / 1e6, 1),
+                      bench::Fmt(m.samples_per_sec.p90 / 1e6, 1),
                       bench::Fmt(m.speedup_vs_1, 2),
                       m.simd_speedup_vs_scalar > 0.0
                           ? bench::Fmt(m.simd_speedup_vs_scalar, 2)

@@ -2,6 +2,7 @@
 
 #include <algorithm>
 #include <cmath>
+#include <limits>
 #include <numeric>
 #include <vector>
 
@@ -37,13 +38,55 @@ SimplexSampleKey ReplicationKey(size_t dims, const VolumeOptions& options,
   return key;
 }
 
+/// The node rows in descending order of their largest |w_ik|, which is
+/// also their `bound` (a row holding a NaN gets bound +inf and comes
+/// first). Feasibility is the AND over all rows, so any row order yields
+/// the same verdict per sample; this one lets both kernel paths stop a
+/// sample at the first row whose bound shows that no remaining row can be
+/// violated (RowBoundFactor), and lets a violated sample exit after the
+/// heavy rows. stable_sort keeps ties in original order, so the scan cost
+/// is deterministic too.
+struct OrderedRows {
+  Matrix rows;
+  Vector bound;
+};
+
+OrderedRows OrderRows(const Matrix& weights) {
+  const size_t n = weights.rows();
+  const size_t d = weights.cols();
+  Vector key(n, 0.0);
+  for (size_t i = 0; i < n; ++i) {
+    for (size_t k = 0; k < d; ++k) {
+      const double a = std::abs(weights(i, k));
+      if (std::isnan(a)) {
+        key[i] = std::numeric_limits<double>::infinity();
+        break;
+      }
+      key[i] = std::max(key[i], a);
+    }
+  }
+  std::vector<size_t> order(n);
+  std::iota(order.begin(), order.end(), size_t{0});
+  std::stable_sort(order.begin(), order.end(),
+                   [&](size_t a, size_t b) { return key[a] > key[b]; });
+  OrderedRows out{Matrix(n, d), Vector(n)};
+  for (size_t i = 0; i < n; ++i) {
+    std::span<const double> src = weights.Row(order[i]);
+    std::copy(src.begin(), src.end(), out.rows.Row(i).begin());
+    out.bound[i] = key[order[i]];
+  }
+  return out;
+}
+
 /// Scalar membership loop over samples `[begin, end)` of the row-major
-/// matrix: the bit-exact reference the SIMD path must reproduce.
-size_t CountContainedScalarRange(const Matrix& weights, const Matrix& samples,
+/// matrix: the bit-exact reference the SIMD path must reproduce. Rows
+/// come from OrderRows.
+size_t CountContainedScalarRange(const OrderedRows& w, const Matrix& samples,
                                  size_t begin, size_t end,
                                  std::span<const double> lower_bound,
                                  double scale, double tol, Vector& mapped) {
   const size_t d = samples.cols();
+  const double limit = 1.0 + tol;
   size_t feasible = 0;
   for (size_t s = begin; s < end; ++s) {
     std::span<const double> x = samples.Row(s);
@@ -53,9 +96,13 @@ size_t CountContainedScalarRange(const Matrix& weights, const Matrix& samples,
       }
       x = mapped;
     }
+    double abs_sum = 0.0;
+    for (size_t k = 0; k < d; ++k) abs_sum += std::abs(x[k]);
+    const double factor = RowBoundFactor(abs_sum, d, limit);
     bool inside = true;
-    for (size_t i = 0; i < weights.rows(); ++i) {
-      if (Dot(weights.Row(i), x) > 1.0 + tol) {
+    for (size_t i = 0; i < w.rows.rows(); ++i) {
+      if (w.bound[i] * factor <= limit) break;
+      if (Dot(w.rows.Row(i), x) > limit) {
         inside = false;
         break;
       }
@@ -76,16 +123,15 @@ size_t CountContainedImpl(const Matrix& weights, const Matrix& samples,
                           std::span<const double> lower_bound, double scale,
                           double tol) {
   const size_t num_samples = samples.rows();
-  const size_t d = samples.cols();
-  assert(weights.cols() == d);
-  (void)d;
+  assert(weights.cols() == samples.cols());
+  const OrderedRows ordered = OrderRows(weights);
   const size_t num_chunks = (num_samples + kKernelGrain - 1) / kKernelGrain;
   std::vector<size_t> counts(num_chunks, 0);
   ParallelFor(num_threads, num_samples, kKernelGrain,
               [&](size_t chunk, size_t begin, size_t end) {
                 Vector mapped(lower_bound.empty() ? 0 : samples.cols());
                 counts[chunk] = CountContainedScalarRange(
-                    weights, samples, begin, end, lower_bound, scale, tol,
+                    ordered, samples, begin, end, lower_bound, scale, tol,
                     mapped);
               });
   size_t total = 0;
@@ -112,31 +158,7 @@ size_t CountContainedImpl(const Matrix& weights, const SimplexSampleSet& set,
   const size_t num_samples = samples.rows();
   const size_t d = samples.cols();
   assert(weights.cols() == d);
-  // Feasibility is the AND over all constraint rows, so any row order
-  // yields the same per-sample verdict. Scanning the heaviest rows first
-  // (largest row sum ~ largest expected dot against a simplex point) lets
-  // the vector kernel's all-lanes-violated early exit fire after a row or
-  // two on clearly infeasible samples instead of marching through the
-  // light rows. stable_sort keeps ties in original order, so the permuted
-  // matrix — and therefore the scan cost, not just the count — is
-  // deterministic.
-  Matrix ordered(weights.rows(), d);
-  {
-    std::vector<size_t> order(weights.rows());
-    std::iota(order.begin(), order.end(), size_t{0});
-    std::stable_sort(order.begin(), order.end(), [&](size_t a, size_t b) {
-      double sa = 0.0, sb = 0.0;
-      for (size_t k = 0; k < d; ++k) {
-        sa += weights(a, k);
-        sb += weights(b, k);
-      }
-      return sa > sb;
-    });
-    for (size_t i = 0; i < order.size(); ++i) {
-      std::span<const double> src = weights.Row(order[i]);
-      std::copy(src.begin(), src.end(), ordered.Row(i).begin());
-    }
-  }
+  const OrderedRows ordered = OrderRows(weights);
   const size_t num_chunks = (num_samples + kKernelGrain - 1) / kKernelGrain;
   std::vector<size_t> counts(num_chunks, 0);
   ParallelFor(
@@ -146,11 +168,11 @@ size_t CountContainedImpl(const Matrix& weights, const SimplexSampleSet& set,
         Vector map_scratch(lower_bound.empty() ? 0 : d * kSimdGroup);
         size_t tail = begin;
         size_t feasible = CountContainedAvx2(
-            ordered.Row(0).data(), ordered.rows(), d, set.lanes.data(),
-            set.lane_stride, begin, end,
-            lower_bound.empty() ? nullptr : lower_bound.data(), scale, tol,
-            map_scratch.empty() ? nullptr : map_scratch.data(), &tail);
-        feasible += CountContainedScalarRange(weights, samples, tail, end,
+            ordered.rows.Row(0).data(), ordered.bound.data(),
+            ordered.rows.rows(), d, set.lanes.data(), set.lane_stride, begin,
+            end, lower_bound.empty() ? nullptr : lower_bound.data(), scale,
+            tol, map_scratch.empty() ? nullptr : map_scratch.data(), &tail);
+        feasible += CountContainedScalarRange(ordered, samples, tail, end,
                                               lower_bound, scale, tol, mapped);
         counts[chunk] = feasible;
       });

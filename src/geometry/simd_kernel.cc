@@ -46,9 +46,10 @@ const char* ActiveSimdIsa() { return SimdKernelEnabled() ? "avx2" : "scalar"; }
 #ifndef ROD_HAVE_AVX2_KERNEL
 // Link stub for builds without the AVX2 translation unit; never reached
 // because SimdKernelAvailable() is false on such builds.
-size_t CountContainedAvx2(const double*, size_t, size_t, const double*,
-                          size_t, size_t begin, size_t, const double*, double,
-                          double, double*, size_t* tail_begin) {
+size_t CountContainedAvx2(const double*, const double*, size_t, size_t,
+                          const double*, size_t, size_t begin, size_t,
+                          const double*, double, double, double*,
+                          size_t* tail_begin) {
   *tail_begin = begin;
   return 0;
 }

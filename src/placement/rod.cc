@@ -16,6 +16,59 @@ namespace {
 
 constexpr double kClassITolerance = 1e-9;
 constexpr double kInfinity = std::numeric_limits<double>::infinity();
+constexpr double kUnitRoundoff = 0x1p-53;
+/// Outside these magnitudes a sum of squares may have underflowed or may
+/// overflow, so the rounding margin below does not hold and the node is
+/// always scored exactly.
+constexpr double kTinySum = 0x1p-900;
+constexpr double kHugeSum = 0x1p900;
+
+/// Candidate weights w = (l + c) / total / share of one axis the unit
+/// loads, folded into each node's largest weight and sum of squares.
+/// Inputs and outputs are distinct arrays, which lets the loop vectorize.
+void AddLoadedAxis(size_t n, double c, double total,
+                   const double* __restrict l, const double* __restrict share,
+                   const double* __restrict w_old, double* __restrict w,
+                   const double* __restrict max_in,
+                   const double* __restrict sum_sq_in,
+                   double* __restrict max_out, double* __restrict sum_sq_out) {
+  for (size_t i = 0; i < n; ++i) {
+    w[i] = (l[i] + c) / total / share[i];
+    max_out[i] = std::max(max_in[i], w[i]);
+    sum_sq_out[i] = sum_sq_in[i] + (w[i] * w[i] - w_old[i] * w_old[i]);
+  }
+}
+
+/// For each node, an interval [lo, hi] that holds p * |p| for the plane
+/// distance p = (1 - dot) / sqrt(sum_sq) that PlaneDistanceFrom computes
+/// from the exact candidate row, given the approximate `sum_sq` and `dot`
+/// and the exact largest candidate weight. With T = |1 - dot| + B, where
+/// B = max_weight * sum_k |b_k| bounds sum_k |w_k b_k|, the interval is
+/// key +- margin_coeff * T^2 / sum_sq; DESIGN §9.6 derives margin_coeff,
+/// twice the first-order rounding bound. A node whose sums are out of
+/// range gets (-inf, inf), so it is always scored exactly. Without a lower
+/// bound `dot` is 0, so 1 - dot is exactly 1 and `lb_abs_sum` 0. The
+/// pointers do not alias, which lets the loop vectorize.
+void PlaneDistanceKeys(size_t n, double margin_coeff, double lb_abs_sum,
+                       const double* __restrict max_weight,
+                       const double* __restrict sum_sq,
+                       const double* __restrict dot, double* __restrict lo,
+                       double* __restrict hi) {
+  for (size_t i = 0; i < n; ++i) {
+    const double num = 1.0 - dot[i];
+    const double abs_num = std::abs(num);
+    const double scale = abs_num + max_weight[i] * lb_abs_sum;
+    const double inv_sq = 1.0 / sum_sq[i];
+    const double key = num * abs_num * inv_sq;
+    const double margin = margin_coeff * scale * scale * inv_sq;
+    const double key_lo = key - margin, key_hi = key + margin;
+    // The last test fails when the key or the margin overflowed.
+    const bool in_range = (sum_sq[i] >= kTinySum) & (sum_sq[i] <= kHugeSum) &
+                          (key_hi - key_lo <= kHugeSum);
+    lo[i] = in_range ? key_lo : -kInfinity;
+    hi[i] = in_range ? key_hi : kInfinity;
+  }
+}
 
 }  // namespace
 
@@ -37,11 +90,22 @@ Result<Placement> RodPlaceMatrix(
     return Status::InvalidArgument("total_coeffs size mismatch");
   }
   for (size_t k = 0; k < dims; ++k) {
-    if (total_coeffs[k] <= 0.0) {
+    if (!(total_coeffs[k] > 0.0) || std::isinf(total_coeffs[k])) {
       return Status::InvalidArgument(
           "rate variable " + std::to_string(k) +
-          " has non-positive total load coefficient");
+          " has a non-positive or non-finite total load coefficient");
     }
+  }
+  // With no coefficient negative or NaN, a unit can only raise a node's
+  // weights, which keeps the candidate maximum exact when only the loaded
+  // axes update it.
+  bool nonnegative = true;
+  for (size_t j = 0; j < m; ++j) {
+    for (double c : op_coeffs.Row(j)) nonnegative &= c >= 0.0;
+  }
+  if (!nonnegative) {
+    return Status::InvalidArgument(
+        "load coefficients must be nonnegative and not NaN");
   }
   if (!normalized_lower_bound.empty() &&
       normalized_lower_bound.size() != dims) {
@@ -79,8 +143,11 @@ Result<Placement> RodPlaceMatrix(
 
   // --- Phase 2: greedy assignment. Node state is axis-major: row k of
   // `node_coeffs` holds every node's load coefficient on variable k, and
-  // row k of `node_weight` caches w_ik = l_ik / l_k / (C_i/C_T), rewritten
-  // only for the node that receives a unit. ---
+  // row k of `node_weight` caches w_ik = l_ik / l_k / (C_i/C_T). Each
+  // node also keeps summaries of its weight row: the largest weight, the
+  // sum of squares and the dot product with the lower bound, each summed
+  // in axis order. All of them are rewritten only for the node that
+  // receives a unit. ---
   Rng rng(options.seed);
   Matrix node_coeffs(dims, n);
   Matrix node_weight(dims, n);
@@ -98,12 +165,32 @@ Result<Placement> RodPlaceMatrix(
       }
     }
   }
-  auto refresh_weights = [&](size_t i) {
+  const bool has_lb = !normalized_lower_bound.empty();
+  double lb_abs_sum = 0.0;
+  for (double b : normalized_lower_bound) lb_abs_sum += std::abs(b);
+  // 2 (3 eps + 8 u) with eps = (3D + 3) u, the rounding of the sums over
+  // D axes in both the exact and the summary form (DESIGN §9.6).
+  const double margin_coeff =
+      static_cast<double>(18 * dims + 34) * kUnitRoundoff;
+  Vector row_max(n), row_sum_sq(n), row_lb_dot(n);  // node row summaries
+  auto summarize = [&](size_t i) {
+    double max_w = 0.0, sum_sq = 0.0, lb_dot = 0.0;
+    for (size_t k = 0; k < dims; ++k) {
+      const double w = node_weight(k, i);
+      max_w = std::max(max_w, w);
+      sum_sq += w * w;
+      if (has_lb) lb_dot += w * normalized_lower_bound[k];
+    }
+    row_max[i] = max_w;
+    row_sum_sq[i] = sum_sq;
+    row_lb_dot[i] = lb_dot;
+  };
+  for (size_t i = 0; i < n; ++i) {
     for (size_t k = 0; k < dims; ++k) {
       node_weight(k, i) = node_coeffs(k, i) / total_coeffs[k] / cap_share[i];
     }
-  };
-  for (size_t i = 0; i < n; ++i) refresh_weights(i);
+    summarize(i);
+  }
 
   // Volume-scored greedy: per-sample feasibility state shared across the
   // whole run, seeded with any pinned units in unit order.
@@ -126,85 +213,132 @@ Result<Placement> RodPlaceMatrix(
     }
   }
 
-  const bool has_lb = !normalized_lower_bound.empty();
   // Candidate metrics of placing the current unit on each node: the
-  // largest weight, the running sums of Norm2 and Dot over the candidate
-  // weight row, and the resulting plane distance.
-  Vector max_weight(n), sum_sq(n), lb_dot(n), plane_distance(n);
-  Vector axis_weight(n);  // candidate weights on one axis the unit loads
-  std::vector<size_t> class_one_nodes;
+  // largest weight (exact) and, for the plane distance p, an interval
+  // [pd_lo, pd_hi] that holds p * |p| (see DESIGN §9.6).
+  Vector max_buf[2] = {Vector(n), Vector(n)};
+  Vector sum_sq_buf[2] = {Vector(n), Vector(n)};
+  Vector lb_dot_buf[2] = {Vector(has_lb ? n : 0), Vector(has_lb ? n : 0)};
+  Vector pd_lo(n), pd_hi(n);
+  std::vector<size_t> loaded_buf(dims);  // axes the current unit loads
+  Vector loaded_weight(dims * n);  // candidate weights on them, axis-major
+  std::vector<size_t> class_one_buf(n), ties;
   std::vector<size_t> all_nodes(n);
   std::iota(all_nodes.begin(), all_nodes.end(), 0);
+  std::vector<size_t> counts(options.mode == RodOptions::Mode::kVolumeGreedy
+                                 ? n
+                                 : 0);
 
   for (size_t j : order) {
-    std::fill(max_weight.begin(), max_weight.end(), 0.0);
-    std::fill(sum_sq.begin(), sum_sq.end(), 0.0);
-    std::fill(lb_dot.begin(), lb_dot.end(), 0.0);
-    // Axis by axis, in the order Norm2 and Dot sum a row, so every
-    // per-node reduction is bit-identical to a row-major scan.
+    size_t num_loaded = 0;
     for (size_t k = 0; k < dims; ++k) {
-      const double c = op_coeffs(j, k);
-      const double* w = &node_weight(k, 0);
-      if (c != 0.0) {
-        const double* l = &node_coeffs(k, 0);
-        for (size_t i = 0; i < n; ++i) {
-          axis_weight[i] = (l[i] + c) / total_coeffs[k] / cap_share[i];
-        }
-        w = axis_weight.data();
-      }
-      // Otherwise (l_ik + 0) / l_k / share_i is the cached weight.
-      for (size_t i = 0; i < n; ++i) {
-        max_weight[i] = std::max(max_weight[i], w[i]);
-        sum_sq[i] += w[i] * w[i];
-      }
+      loaded_buf[num_loaded] = k;
+      num_loaded += op_coeffs(j, k) != 0.0;
+    }
+    const std::span<const size_t> loaded(loaded_buf.data(), num_loaded);
+    // Update the row summaries by the loaded axes only, alternating
+    // between two buffers. On an axis the unit does not load,
+    // (l_ik + 0) / l_k / share_i is the cached weight; on the others the
+    // weight is divided as before. The maximum stays exact because a
+    // weight can only grow; the two sums are approximate.
+    const double* max_weight = row_max.data();
+    const double* sum_sq = row_sum_sq.data();
+    const double* lb_dot = row_lb_dot.data();
+    for (size_t q = 0; q < loaded.size(); ++q) {
+      const size_t k = loaded[q];
+      const double* w_old = &node_weight(k, 0);
+      double* w = &loaded_weight[q * n];
+      Vector& max_out = max_buf[q % 2];
+      Vector& sum_sq_out = sum_sq_buf[q % 2];
+      AddLoadedAxis(n, op_coeffs(j, k), total_coeffs[k], &node_coeffs(k, 0),
+                    cap_share.data(), w_old, w, max_weight, sum_sq,
+                    max_out.data(), sum_sq_out.data());
+      max_weight = max_out.data();
+      sum_sq = sum_sq_out.data();
       if (has_lb) {
         const double b = normalized_lower_bound[k];
-        for (size_t i = 0; i < n; ++i) lb_dot[i] += w[i] * b;
+        Vector& dot_out = lb_dot_buf[q % 2];
+        for (size_t i = 0; i < n; ++i) {
+          dot_out[i] = lb_dot[i] + (w[i] - w_old[i]) * b;
+        }
+        lb_dot = dot_out.data();
       }
     }
-    // PlaneDistance / PlaneDistanceFrom of the candidate row; Class I
-    // means no candidate weight above 1 + tolerance.
-    class_one_nodes.clear();
+    PlaneDistanceKeys(n, margin_coeff, lb_abs_sum, max_weight, sum_sq, lb_dot,
+                      pd_lo.data(), pd_hi.data());
+    // Class I means no candidate weight above 1 + tolerance. The list is
+    // filled without a branch: every node is written, and kept if it is.
+    size_t num_class_one = 0;
     for (size_t i = 0; i < n; ++i) {
-      const double norm = std::sqrt(sum_sq[i]);
-      plane_distance[i] = norm == 0.0 ? kInfinity
-                          : has_lb    ? (1.0 - lb_dot[i]) / norm
-                                      : 1.0 / norm;
-      if (!(max_weight[i] > 1.0 + kClassITolerance)) {
-        class_one_nodes.push_back(i);
-      }
+      class_one_buf[num_class_one] = i;
+      num_class_one += !(max_weight[i] > 1.0 + kClassITolerance);
     }
+    const std::span<const size_t> class_one_nodes(class_one_buf.data(),
+                                                  num_class_one);
 
-    // Node selection.
-    size_t selected = 0;
-    auto argmax_pd = [&](const std::vector<size_t>& nodes) {
-      assert(!nodes.empty());
-      size_t best = nodes[0];
-      for (size_t i : nodes) {
-        if (plane_distance[i] > plane_distance[best]) best = i;
+    // PlaneDistance / PlaneDistanceFrom of node i's candidate row, summed
+    // in axis order as Norm2 and Dot do.
+    auto plane_distance = [&](size_t i) {
+      double sq = 0.0, dot = 0.0;
+      size_t q = 0;
+      for (size_t k = 0; k < dims; ++k) {
+        double w = node_weight(k, i);
+        if (q < loaded.size() && loaded[q] == k) w = loaded_weight[q++ * n + i];
+        sq += w * w;
+        if (has_lb) dot += w * normalized_lower_bound[k];
       }
+      // Without a lower bound dot is 0 and 1 - dot is exactly 1.
+      const double norm = std::sqrt(sq);
+      return norm == 0.0 ? kInfinity : (1.0 - dot) / norm;
+    };
+    // The first node of `nodes` with the largest plane distance, as a scan
+    // that starts from nodes[0] and takes a strictly larger value would
+    // pick it (so a NaN at nodes[0] wins, and a NaN elsewhere never does).
+    // Only nodes whose interval reaches the best lower end can be it, and
+    // a node that is alone there needs no exact score.
+    auto argmax_pd = [&](std::span<const size_t> nodes) {
+      assert(!nodes.empty());
+      double floor = -kInfinity;
+      for (size_t i : nodes) floor = std::max(floor, pd_lo[i]);
+      size_t reaching = 0, last = nodes[0];
+      for (size_t i : nodes) {
+        const bool reaches = pd_hi[i] >= floor;
+        reaching += reaches;
+        last = reaches ? i : last;
+      }
+      if (reaching == 1) return last;
+      size_t best = n;
+      double best_pd = 0.0;
+      for (size_t i : nodes) {
+        if (pd_hi[i] < floor) continue;
+        const double pd = plane_distance(i);
+        if (best == n ? i == nodes[0] || !std::isnan(pd) : pd > best_pd) {
+          best = i;
+          best_pd = pd;
+        }
+      }
+      assert(best < n);
       return best;
     };
 
+    // Node selection.
+    size_t selected = 0;
     switch (options.mode) {
       case RodOptions::Mode::kVolumeGreedy: {
         // Maximize the surviving feasible-sample count; break count ties
         // by plane distance, then by lowest node id. Counts are identical
         // with delta evaluation on or off, so the placement is too.
         volume_ctx->LoadUnit(j);
-        selected = 0;
-        size_t best_count =
-            volume_ctx->ScoreCandidate(0, options.delta_eval);
-        for (size_t i = 1; i < n; ++i) {
-          const size_t count =
-              volume_ctx->ScoreCandidate(i, options.delta_eval);
-          if (count > best_count ||
-              (count == best_count &&
-               plane_distance[i] > plane_distance[selected])) {
-            best_count = count;
-            selected = i;
-          }
+        for (size_t i = 0; i < n; ++i) {
+          counts[i] = volume_ctx->ScoreCandidate(i, options.delta_eval);
         }
+        const size_t best_count =
+            *std::max_element(counts.begin(), counts.end());
+        ties.clear();
+        for (size_t i = 0; i < n; ++i) {
+          if (counts[i] == best_count) ties.push_back(i);
+        }
+        selected = argmax_pd(ties);
         break;
       }
       case RodOptions::Mode::kMmpdOnly:
@@ -245,14 +379,15 @@ Result<Placement> RodPlaceMatrix(
               for (size_t nb : (*unit_neighbors)[j]) {
                 if (nb < m && assigned[nb]) ++colocated[assignment[nb]];
               }
-              selected = class_one_nodes[0];
+              size_t most = 0;
               for (size_t i : class_one_nodes) {
-                if (colocated[i] > colocated[selected] ||
-                    (colocated[i] == colocated[selected] &&
-                     plane_distance[i] > plane_distance[selected])) {
-                  selected = i;
-                }
+                most = std::max(most, colocated[i]);
               }
+              ties.clear();
+              for (size_t i : class_one_nodes) {
+                if (colocated[i] == most) ties.push_back(i);
+              }
+              selected = argmax_pd(ties);
               break;
             }
           }
@@ -267,10 +402,13 @@ Result<Placement> RodPlaceMatrix(
     assignment[j] = selected;
     assigned[j] = true;
     if (volume_ctx != nullptr) volume_ctx->Commit(selected);
-    for (size_t k = 0; k < dims; ++k) {
+    // The new weights of the selected node are its candidate weights.
+    for (size_t q = 0; q < loaded.size(); ++q) {
+      const size_t k = loaded[q];
       node_coeffs(k, selected) += op_coeffs(j, k);
+      node_weight(k, selected) = loaded_weight[q * n + selected];
     }
-    refresh_weights(selected);
+    summarize(selected);
   }
 
   return Placement(n, std::move(assignment));

@@ -40,7 +40,6 @@
 #include "common/thread_pool.h"
 #include "geometry/ascii_plot.h"
 #include "geometry/boundary.h"
-#include "geometry/exact_volume.h"
 #include "geometry/feasible_set.h"
 #include "geometry/hyperplane.h"
 #include "geometry/polygon2d.h"
@@ -80,7 +79,6 @@
 #include "trace/bmodel.h"
 #include "trace/hurst.h"
 #include "trace/io.h"
-#include "trace/onoff.h"
 #include "trace/store/format.h"
 #include "trace/store/reader.h"
 #include "trace/store/replay.h"

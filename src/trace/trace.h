@@ -4,9 +4,9 @@
 // its experiments with three real Internet Traffic Archive traces (PKT,
 // TCP, HTTP; Figure 2). Those are not redistributable, so this module
 // provides statistically equivalent synthetic stand-ins — self-similar,
-// bursty at every time-scale — via the b-model cascade (bmodel.h) and
-// Pareto ON/OFF superposition (onoff.h), plus the named presets used by
-// the benchmarks.
+// bursty at every time-scale — via the b-model cascade (bmodel.h), plus
+// the named presets used by the benchmarks. (A Pareto ON/OFF
+// superposition, tests/onoff.h, cross-checks the Hurst estimator.)
 
 #ifndef ROD_TRACE_TRACE_H_
 #define ROD_TRACE_TRACE_H_

@@ -1,4 +1,4 @@
-#include "geometry/exact_volume.h"
+#include "exact_volume.h"
 
 #include <cmath>
 #include <limits>

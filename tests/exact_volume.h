@@ -7,10 +7,11 @@
 // subspace (an orthonormal parameterization keeps measures correct). The
 // cost is exponential in d, so this is a *verification* tool for the QMC
 // estimator on paper-scale dimensions (d <= 5), not a production path —
-// precisely the intractability argument of the paper's §2.4.
+// precisely the intractability argument of the paper's §2.4 — and it
+// lives with the tests, its only caller (exact_volume_test).
 
-#ifndef ROD_GEOMETRY_EXACT_VOLUME_H_
-#define ROD_GEOMETRY_EXACT_VOLUME_H_
+#ifndef ROD_TESTS_EXACT_VOLUME_H_
+#define ROD_TESTS_EXACT_VOLUME_H_
 
 #include <span>
 
@@ -37,4 +38,4 @@ Result<double> ExactRatioToIdealND(const Matrix& weights,
 
 }  // namespace rod::geom
 
-#endif  // ROD_GEOMETRY_EXACT_VOLUME_H_
+#endif  // ROD_TESTS_EXACT_VOLUME_H_

@@ -1,7 +1,7 @@
 // Tests for the Lasserre exact polytope volume and its agreement with the
 // polygon (d = 2) and QMC (d >= 3) estimators.
 
-#include "geometry/exact_volume.h"
+#include "exact_volume.h"
 
 #include <gtest/gtest.h>
 

@@ -5,8 +5,8 @@
 #include <gtest/gtest.h>
 
 #include "common/random.h"
+#include "onoff.h"
 #include "trace/bmodel.h"
-#include "trace/onoff.h"
 
 namespace rod::trace {
 namespace {

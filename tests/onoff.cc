@@ -1,4 +1,4 @@
-#include "trace/onoff.h"
+#include "onoff.h"
 
 #include <algorithm>
 #include <cassert>

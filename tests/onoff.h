@@ -4,10 +4,13 @@
 // self-similar network traffic (Willinger et al., "Self-Similarity Through
 // High-Variability"). Aggregating many sources whose ON/OFF period lengths
 // are heavy-tailed (Pareto shape 1 < alpha < 2) yields long-range-dependent
-// arrival series with Hurst parameter H = (3 - alpha) / 2.
+// arrival series with Hurst parameter H = (3 - alpha) / 2. The traces of
+// the benches come from the b-model (trace/bmodel.h); this generator lives
+// with its tests (trace_test, hurst_test), where it is a second,
+// independent self-similar source for the Hurst estimator.
 
-#ifndef ROD_TRACE_ONOFF_H_
-#define ROD_TRACE_ONOFF_H_
+#ifndef ROD_TESTS_ONOFF_H_
+#define ROD_TESTS_ONOFF_H_
 
 #include "common/random.h"
 #include "trace/trace.h"
@@ -39,4 +42,4 @@ RateTrace GenerateOnOff(const OnOffOptions& options, Rng& rng);
 
 }  // namespace rod::trace
 
-#endif  // ROD_TRACE_ONOFF_H_
+#endif  // ROD_TESTS_ONOFF_H_

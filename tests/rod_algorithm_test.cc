@@ -6,6 +6,8 @@
 
 #include <gtest/gtest.h>
 
+#include <limits>
+
 #include "common/random.h"
 #include "geometry/hyperplane.h"
 #include "placement/evaluator.h"
@@ -320,6 +322,29 @@ TEST(RodTest, MatrixInterfaceValidatesInputs) {
   EXPECT_FALSE(RodPlaceMatrix(Matrix(), Vector{}, system).ok());
   // Valid.
   EXPECT_TRUE(RodPlaceMatrix(lo, Vector{1.0, 1.0}, system).ok());
+}
+
+TEST(RodTest, MatrixInterfaceRejectsNegativeAndNanCoefficients) {
+  // The scan updates each node's largest weight by the loaded axes only,
+  // which is exact because a coefficient c >= 0 can only raise a weight.
+  const SystemSpec system = SystemSpec::Homogeneous(2);
+  const Vector totals{1.0, 1.0};
+  const Matrix negative = Matrix::FromRows({{0.5, 0.0}, {0.25, -0.25}});
+  EXPECT_EQ(RodPlaceMatrix(negative, totals, system).status().code(),
+            StatusCode::kInvalidArgument);
+  const Matrix nan = Matrix::FromRows(
+      {{0.5, std::numeric_limits<double>::quiet_NaN()}, {0.25, 0.25}});
+  EXPECT_EQ(RodPlaceMatrix(nan, totals, system).status().code(),
+            StatusCode::kInvalidArgument);
+  // A pinned unit is checked too: its load seeds the node weights.
+  const std::vector<size_t> fixed{2, 0};
+  EXPECT_EQ(RodPlaceMatrix(negative, totals, system, {}, {}, nullptr, &fixed)
+                .status()
+                .code(),
+            StatusCode::kInvalidArgument);
+  // Zero coefficients, including -0.0, are not negative.
+  const Matrix zeros = Matrix::FromRows({{0.5, -0.0}, {0.0, 0.5}});
+  EXPECT_TRUE(RodPlaceMatrix(zeros, totals, system).ok());
 }
 
 }  // namespace

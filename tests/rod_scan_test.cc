@@ -1,9 +1,11 @@
-// Oracle test for ROD's axis-major candidate scan. RodPlaceMatrix keeps
-// node state axis by axis and reads cached weights on the axes a unit does
-// not load; the reference below is the earlier row-major scan, which
-// rebuilds every node's candidate weight row and scores it with
-// PlaneDistance / PlaneDistanceFrom. Both must pick the same node for
-// every unit, in every mode and tie-break, so the placements are equal.
+// Oracle test for ROD's candidate scan. RodPlaceMatrix keeps node state
+// axis by axis with per-node row summaries, touches only the axes a unit
+// loads, and scores exactly only the nodes whose approximate plane
+// distance is within a rounding margin of the best; the reference below is
+// the earlier row-major scan, which rebuilds every node's candidate weight
+// row and scores it with PlaneDistance / PlaneDistanceFrom. Both must pick
+// the same node for every unit, in every mode and tie-break, so the
+// placements are equal.
 
 #include <gtest/gtest.h>
 
@@ -322,6 +324,129 @@ TEST(RodScanTest, MatchesRowMajorReferenceOnRandomCases) {
   constexpr uint64_t kCases = 120;
   for (uint64_t seed = 1; seed <= kCases; ++seed) {
     const ScanCase c = RandomCase(seed);
+    const std::vector<size_t>* fixed = c.fixed.empty() ? nullptr : &c.fixed;
+    for (const auto mode : kModes) {
+      for (const auto tie_break : kTieBreaks) {
+        RodOptions options;
+        options.mode = mode;
+        options.tie_break = tie_break;
+        options.seed = seed;
+        options.volume.num_samples = 256;
+        auto plan = RodPlaceMatrix(c.op_coeffs, c.totals, c.system, options,
+                                   c.lower_bound, &c.neighbors, fixed);
+        ASSERT_TRUE(plan.ok()) << c.label << ": " << plan.status().ToString();
+        EXPECT_EQ(plan->assignment(),
+                  ReferenceRodPlaceMatrix(c.op_coeffs, c.totals, c.system,
+                                          options, c.lower_bound,
+                                          &c.neighbors, fixed))
+            << c.label << " mode " << static_cast<int>(mode) << " tie-break "
+            << static_cast<int>(tie_break);
+      }
+    }
+  }
+}
+
+/// Shapes at the edge of the scan's rounding margin (DESIGN §9.6):
+/// kIdentical gives every unit the same row, so nodes holding the same
+/// count of units have identical candidate rows and every plane-distance
+/// tie is exact; kTightBound sets a lower bound whose entries sum to 1
+/// within 1e-3 (or exactly), so late in the run 1 - B.w is near 0 or
+/// negative, and in half the cases makes every row a rotation of one base
+/// vector under equal totals and an even bound, so candidate plane
+/// distances tie in exact arithmetic and differ only by rounding; kTiny
+/// scales every coefficient near 1e-160 against totals of 1, so the
+/// squared weights underflow and most plane distances are inf.
+enum class Edge { kIdentical, kTightBound, kTiny };
+
+ScanCase EdgeCase(uint64_t seed) {
+  Rng rng(seed);
+  const auto edge = static_cast<Edge>(seed % 3);
+  const size_t dims = 1 + rng.NextIndex(10);
+  const size_t n = 1 + rng.NextIndex(64);
+  const size_t m = 1 + rng.NextIndex(96);
+  ScanCase c;
+  c.op_coeffs = Matrix(m, dims);
+  Vector base(dims);
+  for (double& v : base) v = rng.Bernoulli(0.5) ? rng.Uniform(0.05, 2.0) : 0.0;
+  base[rng.NextIndex(dims)] = rng.Uniform(0.05, 2.0);
+  constexpr double kTinyScales[] = {1e-160, 1e-162, 1e-165};
+  const double tiny = kTinyScales[rng.NextIndex(3)];
+  const bool rotated = edge == Edge::kTightBound && rng.Bernoulli(0.5);
+  for (size_t j = 0; j < m; ++j) {
+    const size_t shift = rng.NextIndex(dims);
+    for (size_t k = 0; k < dims; ++k) {
+      switch (edge) {
+        case Edge::kIdentical:
+          c.op_coeffs(j, k) = base[k];
+          break;
+        case Edge::kTightBound:
+          c.op_coeffs(j, k) = rotated             ? base[(k + shift) % dims]
+                              : rng.Bernoulli(0.6) ? rng.Uniform(0.05, 2.0)
+                                                   : 0.0;
+          break;
+        case Edge::kTiny:
+          c.op_coeffs(j, k) = rng.Bernoulli(0.6) ? tiny * rng.Uniform(0.5, 2.0)
+                                                 : 0.0;
+          break;
+      }
+    }
+  }
+  c.totals.assign(dims, 0.0);
+  for (size_t k = 0; k < dims; ++k) {
+    for (size_t j = 0; j < m; ++j) c.totals[k] += c.op_coeffs(j, k);
+    if (c.totals[k] == 0.0) {
+      c.op_coeffs(k % m, k) = edge == Edge::kTiny ? tiny : 0.5;
+      c.totals[k] = c.op_coeffs(k % m, k);
+    }
+  }
+  if (edge == Edge::kTiny) c.totals.assign(dims, 1.0);
+  if (rotated) {
+    c.totals.assign(dims, *std::max_element(c.totals.begin(), c.totals.end()));
+  }
+
+  c.system = SystemSpec::Homogeneous(n);
+  if (edge != Edge::kIdentical && !rotated && rng.Bernoulli(0.5)) {
+    for (double& cap : c.system.capacities) cap = rng.Uniform(0.25, 4.0);
+  }
+  if (edge == Edge::kTightBound || rng.Bernoulli(0.3)) {
+    constexpr double kSums[] = {0.999, 1.0, 1.001, 1.0 - 1e-12};
+    const double sum = edge == Edge::kTightBound ? kSums[rng.NextIndex(4)]
+                                                 : rng.Uniform(0.0, 0.5);
+    Vector share(dims, 1.0);
+    if (!rotated) {
+      for (double& v : share) v = rng.Uniform(0.5, 1.5);
+    }
+    const double share_sum = Sum(share);
+    c.lower_bound.resize(dims);
+    for (size_t k = 0; k < dims; ++k) {
+      c.lower_bound[k] = sum * share[k] / share_sum;
+    }
+  }
+  if (rng.Bernoulli(0.25)) {
+    c.fixed.assign(m, n);
+    for (size_t& node : c.fixed) {
+      if (rng.Bernoulli(0.3)) node = rng.NextIndex(n);
+    }
+  }
+  c.neighbors.resize(m);
+  for (size_t j = 1; j < m; ++j) {
+    const size_t parent = rng.NextIndex(j);
+    c.neighbors[j].push_back(parent);
+    c.neighbors[parent].push_back(j);
+  }
+  c.label = "edge seed " + std::to_string(seed) + " kind " +
+            std::to_string(seed % 3) + " m " + std::to_string(m) + " n " +
+            std::to_string(n) + " D " + std::to_string(dims) +
+            (rotated ? " rotated" : "") +
+            (c.lower_bound.empty() ? "" : " lb") +
+            (c.fixed.empty() ? "" : " pinned");
+  return c;
+}
+
+TEST(RodScanTest, MatchesRowMajorReferenceAtTheRoundingMargin) {
+  constexpr uint64_t kCases = 90;
+  for (uint64_t seed = 1; seed <= kCases; ++seed) {
+    const ScanCase c = EdgeCase(seed);
     const std::vector<size_t>* fixed = c.fixed.empty() ? nullptr : &c.fixed;
     for (const auto mode : kModes) {
       for (const auto tie_break : kTieBreaks) {

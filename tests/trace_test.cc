@@ -6,8 +6,8 @@
 
 #include <cmath>
 
+#include "onoff.h"
 #include "trace/bmodel.h"
-#include "trace/onoff.h"
 
 namespace rod::trace {
 namespace {
