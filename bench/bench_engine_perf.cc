@@ -318,7 +318,7 @@ int main(int argc, char** argv) {
     std::array<sim::SimulationResult, kConfigs> results;
     for (const sim::SimulationOptions* options : configs) {
       // One short warmup per configuration grows the thread-local
-      // workspace (and the calendar) before anything is timed.
+      // workspace (and its event queue) before anything is timed.
       sim::SimulationOptions warm_options = *options;
       warm_options.duration = std::min(duration, 2.0);
       auto warm = sim::SimulatePlacement(s.graph, *s.plan, s.system,

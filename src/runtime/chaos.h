@@ -128,7 +128,9 @@ class ControlAgent {
  public:
   virtual ~ControlAgent() = default;
 
-  /// Seconds between a crash and the supervisor noticing it.
+  /// Seconds between a crash and the supervisor noticing it. Simulate
+  /// reads it once at set-up and rejects a value that is negative or not
+  /// finite.
   virtual double detection_delay() const = 0;
 
   virtual std::optional<PlanUpdate> OnFailureDetected(

@@ -35,11 +35,11 @@ constexpr size_t kLatencyReservoir = 8192;
 /// network latency makes the delivery order FIFO, so queues suffice).
 /// Structure-of-arrays: one FIFO column per tuple field, popped in
 /// lockstep, plus a per-event column giving how many tuples ride each
-/// scheduled kNetworkDelivery calendar event. The destination node is
+/// kNetworkDelivery event on the event queue's in-order lane; that event
+/// carries the batch's delivery instant. The destination node is
 /// resolved at *delivery* time: a supervisor may re-home the target
 /// operator while the tuple is on the wire.
 struct TupleBatchQueue {
-  FifoBuffer<double> arrive;      ///< Delivery instant.
   FifoBuffer<uint32_t> from;      ///< Sending node (backpressure stalls it).
   FifoBuffer<uint32_t> op;        ///< Destination operator.
   FifoBuffer<uint32_t> port;      ///< Destination input port.
@@ -47,10 +47,9 @@ struct TupleBatchQueue {
   FifoBuffer<double> extra_cost;  ///< Receive-side comm overhead.
   FifoBuffer<uint32_t> counts;    ///< Tuples per kNetworkDelivery event.
 
-  bool empty() const { return arrive.empty(); }
+  bool empty() const { return from.empty(); }
 
   void clear() {
-    arrive.clear();
     from.clear();
     op.clear();
     port.clear();
@@ -59,8 +58,7 @@ struct TupleBatchQueue {
     counts.clear();
   }
 
-  void PushTuple(double at, uint32_t sender, const Task& task) {
-    arrive.push_back(at);
+  void PushTuple(uint32_t sender, const Task& task) {
     from.push_back(sender);
     op.push_back(task.op);
     port.push_back(task.port);
@@ -76,7 +74,6 @@ struct TupleBatchQueue {
     task.origin = origin.front();
     task.extra_cost = extra_cost.front();
     sender = from.front();
-    arrive.pop_front();
     from.pop_front();
     op.pop_front();
     port.pop_front();
@@ -248,6 +245,14 @@ Result<SimulationResult> Simulate(const Deployment& deployment,
                                    options.overload.queue_high_water == 0)) {
     return Status::InvalidArgument(
         "overload detector needs a positive check_interval and high water");
+  }
+  // Read once: each crash schedules its detection this long after `now`,
+  // and an event scheduled before `now` would run the clock backwards.
+  const double detection_delay =
+      options.recovery != nullptr ? options.recovery->detection_delay() : 0.0;
+  if (!(std::isfinite(detection_delay) && detection_delay >= 0.0)) {
+    return Status::InvalidArgument(
+        "recovery detection_delay must be finite and non-negative");
   }
 
   // Telemetry is observation-only: it never draws from the run's random
@@ -547,14 +552,16 @@ Result<SimulationResult> Simulate(const Deployment& deployment,
     task.origin = origin;
     task.extra_cost = route.crosses_nodes ? route.comm_cost : 0.0;
     if (route.crosses_nodes && options.network_latency > 0.0) {
+      // `now` never decreases, so neither does `at`: deliveries ride the
+      // queue's in-order lane.
       const double at = now + options.network_latency;
-      network.PushTuple(at, from, task);
+      network.PushTuple(from, task);
       if (open_batch_count != 0 && open_batch_count < batch_limit &&
           at == open_batch_time && events.next_seq() == open_batch_seq) {
         ++open_batch_count;
         ++network.counts.back();
       } else {
-        events.Push(at, EventType::kNetworkDelivery, 0);
+        events.PushInOrder(at, EventType::kNetworkDelivery, 0);
         network.counts.push_back(1);
         open_batch_time = at;
         open_batch_seq = events.next_seq();
@@ -790,7 +797,6 @@ Result<SimulationResult> Simulate(const Deployment& deployment,
       // one-event-per-tuple engine pops these deliveries.
       for (uint32_t i = 0; i < batch_n; ++i) {
         assert(!network.empty());
-        assert(network.arrive.front() == now);
         uint32_t from = kNoUpstream;
         const Task task = network.PopTuple(from);
         if (!place_task(task, from, now)) ++incident.lost_network;
@@ -875,8 +881,8 @@ Result<SimulationResult> Simulate(const Deployment& deployment,
           release_congestion(fault.node, now, /*replay=*/false);
         }
         if (options.recovery) {
-          events.Push(now + options.recovery->detection_delay(),
-                      EventType::kFailureDetected, fault.node);
+          events.Push(now + detection_delay, EventType::kFailureDetected,
+                      fault.node);
         }
       } else if (fault.kind == FaultKind::kRecover) {
         node_up[fault.node] = 1;

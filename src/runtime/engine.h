@@ -148,8 +148,8 @@ struct SimulationOptions {
 
   /// Network-delivery batching: up to `batch_size` tuples entering the
   /// simulated network at the same instant ride one kNetworkDelivery
-  /// calendar event (a tuple batch in the network FIFO) instead of one
-  /// event each, amortizing queue pushes and pops over operator fan-out.
+  /// event (a tuple batch in the network FIFO) instead of one event each,
+  /// amortizing queue pushes and pops over operator fan-out.
   /// Provably bit-exact for every value: a batch only forms from
   /// deliveries pushed back-to-back (consecutive sequence numbers) for
   /// the same arrival time, which the (time, seq) total order already

@@ -44,46 +44,47 @@ void MetricsCollector::GrowSinks(size_t count) {
 
 namespace {
 
-/// Quantile by selection: nth_element at the two ranks QuantileOfSorted
-/// would interpolate between. The k-th order statistic is the same value
-/// whether found by a full sort or a partial selection, so this is
-/// bit-identical to sorting `v` and calling QuantileOfSorted — at O(n)
-/// instead of O(n log n) per quantile. Runs once per (node, sink) at the
-/// end of every run, which dominates finalization for large exact-mode
-/// sample sets and short sweep runs. Partially reorders `v`.
-double QuantileBySelection(std::vector<double>& v, double q) {
+/// p50, p95 and p99 of `v` by selection, bit-identical to sorting `v` and
+/// calling QuantileOfSorted. Each quantile runs nth_element at the rank
+/// QuantileOfSorted interpolates from and takes the next rank as the
+/// minimum to its right. After a selection at rank r every element right
+/// of r is >= every element left of it, so v[r..n) holds exactly order
+/// statistics r..n-1; p95 and p99 therefore select only there, starting
+/// at the previous quantile's rank (ranks only grow with q), and find the
+/// same values a full sort would. Partially reorders `v`, which must not
+/// be empty.
+void SelectQuantiles(std::vector<double>& v, LatencySummary& s) {
   const size_t n = v.size();
-  if (n == 0) return 0.0;
-  if (n == 1) return v[0];
-  const double pos = q * static_cast<double>(n - 1);
-  const size_t lo = static_cast<size_t>(pos);
-  const size_t hi = std::min(lo + 1, n - 1);
-  const double frac = pos - static_cast<double>(lo);
-  std::nth_element(v.begin(), v.begin() + static_cast<ptrdiff_t>(lo), v.end());
-  const double a = v[static_cast<ptrdiff_t>(lo)];
-  double b = a;
-  if (hi != lo) {
-    // The (lo+1)-th order statistic is the minimum of what nth_element
-    // left to the right of position lo.
-    b = *std::min_element(v.begin() + static_cast<ptrdiff_t>(lo) + 1, v.end());
-  }
-  return a + frac * (b - a);
+  size_t from = 0;
+  auto select = [&](double q) {
+    if (n == 1) return v[0];
+    const double pos = q * static_cast<double>(n - 1);
+    const size_t lo = static_cast<size_t>(pos);
+    const double frac = pos - static_cast<double>(lo);
+    const auto nth = v.begin() + static_cast<ptrdiff_t>(lo);
+    std::nth_element(v.begin() + static_cast<ptrdiff_t>(from), nth, v.end());
+    from = lo;
+    const double a = *nth;
+    const double b = lo + 1 < n ? *std::min_element(nth + 1, v.end()) : a;
+    return a + frac * (b - a);
+  };
+  s.p50 = select(0.50);
+  s.p95 = select(0.95);
+  s.p99 = select(0.99);
 }
 
 }  // namespace
 
-LatencySummary MetricsCollector::Summarize(const RunningStats& stats,
-                                           const ReservoirSampler& samples) {
+LatencySummary MetricsCollector::Summarize(
+    const RunningStats& stats, const ReservoirSampler& samples) const {
   LatencySummary s;
   s.count = stats.count();
   s.exact = samples.exact();
   if (s.count == 0) return s;
   s.mean = stats.mean();
   s.max = stats.max();
-  std::vector<double> scratch(samples.samples());
-  s.p50 = QuantileBySelection(scratch, 0.50);
-  s.p95 = QuantileBySelection(scratch, 0.95);
-  s.p99 = QuantileBySelection(scratch, 0.99);
+  summary_scratch_.assign(samples.samples().begin(), samples.samples().end());
+  SelectQuantiles(summary_scratch_, s);
   return s;
 }
 

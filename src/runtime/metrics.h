@@ -117,7 +117,7 @@ class MetricsCollector {
   /// Exact mode only (empty otherwise).
   const std::vector<double>& output_times() const { return output_times_; }
 
-  /// Summary of all sink outputs (percentiles sorted once per call).
+  /// Summary of all sink outputs (percentiles selected once per call).
   LatencySummary TotalLatency() const;
 
   /// Per-sink summaries, ordered by sink operator id.
@@ -149,8 +149,10 @@ class MetricsCollector {
     ReservoirSampler samples;
   };
 
-  static LatencySummary Summarize(const RunningStats& stats,
-                                  const ReservoirSampler& samples);
+  /// Selects the percentiles in a copy of the retained samples held in
+  /// summary_scratch_.
+  LatencySummary Summarize(const RunningStats& stats,
+                           const ReservoirSampler& samples) const;
 
   /// Cold tail of RecordOutput: extends the sink table to `count`
   /// operator ids, each with its own reservoir seed.
@@ -164,6 +166,8 @@ class MetricsCollector {
   /// Indexed by operator id, up to the largest sink seen; an id with no
   /// outputs (not a sink, or a sink that never emitted) has count 0.
   std::vector<SinkAccumulator> sinks_;
+  /// Summarize's selection buffer, reused for every series.
+  mutable std::vector<double> summary_scratch_;
   Vector node_busy_;      ///< total busy seconds per node
   Matrix window_busy_;    ///< busy seconds per (window, node)
   double window_sec_;

@@ -44,7 +44,7 @@ class Supervisor : public ControlAgent {
 
   struct Options {
     /// Seconds between a crash and the supervisor noticing it (failure
-    /// detector timeout).
+    /// detector timeout). Finite and >= 0, or Simulate rejects the run.
     double detection_delay = 0.5;
 
     /// Each moved operator is unavailable for this long after the plan is

@@ -6,6 +6,7 @@
 #include <gtest/gtest.h>
 
 #include <algorithm>
+#include <limits>
 #include <sstream>
 #include <string>
 
@@ -378,6 +379,39 @@ TEST(ChaosTest, ShorterDetectionDelayLosesStrictlyFewerTuples) {
   EXPECT_GT(slow, 0u);
   EXPECT_GT(fast, 0u);  // the crash itself drops queued/in-flight work
   EXPECT_LT(fast, slow);
+}
+
+TEST(ChaosTest, NegativeDetectionDelayIsRejected) {
+  // A crash's detection fires one detection delay after it. A negative
+  // delay would fire it in the past, running the clock backwards and
+  // detecting before the crash, so the run is rejected at set-up, as is
+  // a delay that is not finite. A delay of 0 still runs.
+  Scenario s;
+  const double kDuration = 30.0;
+  FailureSchedule chaos;
+  chaos.CrashAt(10.0, s.NodeOfInput0());
+  auto run = [&](double delay) {
+    Supervisor::Options sup_options;
+    sup_options.detection_delay = delay;
+    Supervisor supervisor(s.model, sup_options);
+    SimulationOptions options;
+    options.duration = kDuration;
+    options.failures = &chaos;
+    options.recovery = &supervisor;
+    return SimulatePlacement(s.graph, s.plan, s.system,
+                             s.Traces(0.5, kDuration), options);
+  };
+  for (double bad : {-0.1, std::numeric_limits<double>::quiet_NaN(),
+                     std::numeric_limits<double>::infinity()}) {
+    const auto r = run(bad);
+    ASSERT_FALSE(r.ok()) << bad;
+    EXPECT_EQ(r.status().code(), StatusCode::kInvalidArgument) << bad;
+  }
+  const auto zero = run(0.0);
+  ASSERT_TRUE(zero.ok()) << zero.status().ToString();
+  ASSERT_TRUE(zero->incident.has_value());
+  EXPECT_EQ(zero->incident->detect_time, zero->incident->crash_time);
+  EXPECT_GT(zero->incident->operators_moved, 0u);
 }
 
 TEST(ChaosTest, RepairBeatsNaiveDumpOnRecoveryLatency) {

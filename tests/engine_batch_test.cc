@@ -1,5 +1,5 @@
 // Batch-size invariance of the tuple engine: the delivery-batching knob
-// (SimulationOptions::batch_size) may only change how many calendar
+// (SimulationOptions::batch_size) may only change how many queued
 // events carry the same tuples, never the tuples themselves. Every
 // result field — latencies, per-operator statistics, utilization, and
 // the PR-6 graceful-degradation accounting (OverloadStats) — must be

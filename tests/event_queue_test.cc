@@ -52,27 +52,27 @@ class ReferenceHeap {
   uint64_t next_seq_ = 0;
 };
 
-/// Drives the calendar queue and the reference heap through the same
-/// randomized push/pop schedule and asserts every popped event matches
-/// field-for-field.
-void CheckCalendarMatchesHeap(uint64_t seed, size_t steps,
-                              double (*next_time)(Rng&, double)) {
-  EventQueue calendar;
+/// Drives the queue's heap (Push only) and the reference heap through the
+/// same randomized push/pop schedule and asserts every popped event
+/// matches field-for-field.
+void CheckPushMatchesHeap(uint64_t seed, size_t steps,
+                          double (*next_time)(Rng&, double)) {
+  EventQueue queue;
   ReferenceHeap heap;
   Rng rng(seed);
   double now = 0.0;
   for (size_t step = 0; step < steps; ++step) {
-    const bool push = calendar.empty() || rng.NextDouble() < 0.6;
+    const bool push = queue.empty() || rng.NextDouble() < 0.6;
     if (push) {
       const double t = next_time(rng, now);
       const auto type = static_cast<EventType>(rng.NextIndex(6));
       const auto index = static_cast<uint32_t>(rng.NextIndex(64));
       const uint64_t tag = rng.NextU64();
-      calendar.Push(t, type, index, tag);
+      queue.Push(t, type, index, tag);
       heap.Push(t, type, index, tag);
     } else {
-      ASSERT_EQ(calendar.size(), heap.size());
-      const Event a = calendar.Pop();
+      ASSERT_EQ(queue.size(), heap.size());
+      const Event a = queue.Pop();
       const Event b = heap.Pop();
       ASSERT_EQ(a.time, b.time);
       ASSERT_EQ(a.seq, b.seq);
@@ -82,9 +82,9 @@ void CheckCalendarMatchesHeap(uint64_t seed, size_t steps,
       now = a.time;  // simulation clock advances with pops
     }
   }
-  while (!calendar.empty()) {
+  while (!queue.empty()) {
     ASSERT_FALSE(heap.empty());
-    const Event a = calendar.Pop();
+    const Event a = queue.Pop();
     const Event b = heap.Pop();
     ASSERT_EQ(a.time, b.time);
     ASSERT_EQ(a.seq, b.seq);
@@ -92,21 +92,25 @@ void CheckCalendarMatchesHeap(uint64_t seed, size_t steps,
   EXPECT_TRUE(heap.empty());
 }
 
-/// Drives the queue, its calendar and `num_slots` completion slots, and
-/// the reference heap through one seeded schedule of pushes, pops and
-/// Clear() calls. The heap gets every event with the seq the queue
-/// stamped on it; pop order, size() and empty() must agree at every step.
-/// Times mix near-monotone draws, a coarse grid (exact ties, including
-/// with the clock), repeats of the previous push's time (a slot and a
-/// calendar event at one instant) and a few pushes behind the clock;
-/// completions for a few slots arrive faster than they pop, so many land
-/// in an occupied slot and spill.
+/// Drives the queue's three sources (`num_slots` completion slots, the
+/// in-order lane and the heap) and the reference heap through one seeded
+/// schedule of pushes, pops and Clear() calls. The reference gets every
+/// event with the seq the queue stamped on it; pop order, size() and
+/// empty() must agree at every step. Times mix near-monotone draws, a
+/// coarse grid (exact ties, including with the clock), repeats of the
+/// previous push's time (events of two sources at one instant) and a few
+/// slot and heap pushes behind the clock. A lane push whose draw falls
+/// behind the previous lane push takes that push's time instead, so lane
+/// times never decrease and tie with the clock, with slot and heap events
+/// and with each other. Completions for a few slots arrive faster than
+/// they pop, so many land in an occupied slot and spill.
 void CheckSlotsMatchHeap(uint64_t seed, size_t steps, uint32_t num_slots) {
   EventQueue queue;
   ReferenceHeap heap;
   Rng rng(seed);
   double now = 0.0;
   double last_pushed = 0.0;
+  double last_lane = 0.0;
   for (size_t step = 0; step < steps; ++step) {
     ASSERT_EQ(queue.size(), heap.size());
     ASSERT_EQ(queue.empty(), heap.empty());
@@ -116,6 +120,7 @@ void CheckSlotsMatchHeap(uint64_t seed, size_t steps, uint32_t num_slots) {
       heap.Clear();
       now = 0.0;
       last_pushed = 0.0;
+      last_lane = 0.0;
       continue;
     }
     if (queue.empty() || action < 0.56) {
@@ -131,16 +136,24 @@ void CheckSlotsMatchHeap(uint64_t seed, size_t steps, uint32_t num_slots) {
         t = std::max(0.0, now - rng.NextDouble());
       }
       Event e{t, queue.next_seq(), EventType::kNodeDone, 0, rng.NextU64()};
-      if (rng.NextDouble() < 0.6) {
+      const double source = rng.NextDouble();
+      if (source < 0.45) {
         e.index = static_cast<uint32_t>(rng.NextIndex(num_slots));
         queue.PushCompletion(e.time, e.index, e.tag);
+      } else if (source < 0.7) {
+        e.time = std::max(t, last_lane);
+        e.type = EventType::kNetworkDelivery;
+        e.index = static_cast<uint32_t>(rng.NextIndex(64));
+        e.tag = 0;
+        queue.PushInOrder(e.time, e.type, e.index);
+        last_lane = e.time;
       } else {
         e.type = static_cast<EventType>(rng.NextIndex(kNumEventTypes));
         e.index = static_cast<uint32_t>(rng.NextIndex(64));
         queue.Push(e.time, e.type, e.index, e.tag);
       }
       heap.PushStamped(e);
-      last_pushed = t;
+      last_pushed = e.time;
     } else {
       const Event a = queue.Pop();
       const Event b = heap.Pop();
@@ -223,42 +236,43 @@ TEST(EventQueueTest, InterleavedPushPop) {
 }
 
 TEST(EventQueueTest, BothImplsHonorBasicOrder) {
-  // The calendar queue and the reference heap agree on a hand-checked
+  // The queue's heap and the reference heap agree on a hand-checked
   // order, ties included.
-  EventQueue calendar;
+  EventQueue queue;
   ReferenceHeap heap;
-  calendar.Push(3.0, EventType::kNodeDone, 0);
+  queue.Push(3.0, EventType::kNodeDone, 0);
   heap.Push(3.0, EventType::kNodeDone, 0);
-  calendar.Push(1.0, EventType::kExternalArrival, 1);
+  queue.Push(1.0, EventType::kExternalArrival, 1);
   heap.Push(1.0, EventType::kExternalArrival, 1);
   // Equal-time tie: insertion order.
-  calendar.Push(1.0, EventType::kNodeDone, 2);
+  queue.Push(1.0, EventType::kNodeDone, 2);
   heap.Push(1.0, EventType::kNodeDone, 2);
-  calendar.Push(2.0, EventType::kNodeDone, 3);
+  queue.Push(2.0, EventType::kNodeDone, 3);
   heap.Push(2.0, EventType::kNodeDone, 3);
   for (uint32_t expected : {1u, 2u, 3u, 0u}) {
-    EXPECT_EQ(calendar.Pop().index, expected);
+    EXPECT_EQ(queue.Pop().index, expected);
     EXPECT_EQ(heap.Pop().index, expected);
   }
-  EXPECT_TRUE(calendar.empty());
+  EXPECT_TRUE(queue.empty());
   EXPECT_TRUE(heap.empty());
 }
 
 TEST(EventQueueTest, PropertyCalendarMatchesHeapNearMonotone) {
-  // Engine-like workload: pushes land a bit ahead of the current clock.
+  // Engine-like workload on the heap (named when the queue was a
+  // calendar): pushes land a bit ahead of the current clock.
   for (uint64_t seed : {1u, 2u, 3u, 4u}) {
-    CheckCalendarMatchesHeap(seed, 20000, [](Rng& rng, double now) {
+    CheckPushMatchesHeap(seed, 20000, [](Rng& rng, double now) {
       return now + rng.Exponential(10.0);
     });
   }
 }
 
 TEST(EventQueueTest, PropertyCalendarMatchesHeapWithTiesAndNonMonotone) {
-  // Adversarial workload: coarse time grid (many exact ties, including
-  // ties with already-popped times pushed again — non-monotone pushes)
-  // plus occasional far-future outliers that stretch the bucket span.
+  // Adversarial workload on the heap: coarse time grid (many exact ties,
+  // including ties with already-popped times pushed again — non-monotone
+  // pushes) plus occasional far-future outliers.
   for (uint64_t seed : {11u, 12u, 13u, 14u}) {
-    CheckCalendarMatchesHeap(seed, 20000, [](Rng& rng, double now) {
+    CheckPushMatchesHeap(seed, 20000, [](Rng& rng, double now) {
       const double r = rng.NextDouble();
       if (r < 0.5) {
         // Quantized near-now times: heavy equal-time collisions.
@@ -272,25 +286,25 @@ TEST(EventQueueTest, PropertyCalendarMatchesHeapWithTiesAndNonMonotone) {
 }
 
 TEST(EventQueueTest, PropertyCalendarMatchesHeapOnIdenticalTimes) {
-  // Degenerate span: every event at the same instant (width fallback).
-  CheckCalendarMatchesHeap(99, 5000,
-                           [](Rng&, double) { return 42.0; });
+  // Degenerate span: every event at the same instant, so the heap orders
+  // by seq alone.
+  CheckPushMatchesHeap(99, 5000, [](Rng&, double) { return 42.0; });
 }
 
 TEST(EventQueueTest, PropertyCalendarSurvivesGrowShrinkCycles) {
-  // Deep fill then full drain, repeated: exercises rebuild in both
-  // directions with the pop order still matching the heap.
-  EventQueue calendar;
+  // Deep fill then full drain, repeated: the heap grows and empties with
+  // the pop order still matching the reference.
+  EventQueue queue;
   ReferenceHeap heap;
   Rng rng(7);
   for (int cycle = 0; cycle < 3; ++cycle) {
     for (int i = 0; i < 3000; ++i) {
       const double t = rng.NextDouble() * 100.0;
-      calendar.Push(t, EventType::kNodeDone, static_cast<uint32_t>(i));
+      queue.Push(t, EventType::kNodeDone, static_cast<uint32_t>(i));
       heap.Push(t, EventType::kNodeDone, static_cast<uint32_t>(i));
     }
-    while (!calendar.empty()) {
-      const Event a = calendar.Pop();
+    while (!queue.empty()) {
+      const Event a = queue.Pop();
       const Event b = heap.Pop();
       ASSERT_EQ(a.time, b.time);
       ASSERT_EQ(a.seq, b.seq);
@@ -301,8 +315,8 @@ TEST(EventQueueTest, PropertyCalendarSurvivesGrowShrinkCycles) {
 }
 
 TEST(EventQueueTest, SlotsTieAndSpillInSeqOrder) {
-  // Hand-checked: slot and calendar events at one instant pop by seq, and
-  // a completion pushed into an occupied slot spills the old one, which
+  // Hand-checked: slot and heap events at one instant pop by seq, and a
+  // completion pushed into an occupied slot spills the old one, which
   // keeps its seq and payload.
   EventQueue q;
   q.Push(1.0, EventType::kExternalArrival, 7);  // seq 0
@@ -320,6 +334,36 @@ TEST(EventQueueTest, SlotsTieAndSpillInSeqOrder) {
   EXPECT_EQ(spilled.index, 3u);
   EXPECT_EQ(spilled.tag, 80u);
   EXPECT_EQ(q.Pop().seq, 3u);
+  EXPECT_TRUE(q.empty());
+}
+
+TEST(EventQueueTest, LaneSlotAndHeapTieInSeqOrder) {
+  // Hand-checked: lane, slot and heap events at one instant pop by seq,
+  // whichever source holds them; an earlier heap event pops first and a
+  // later lane event last.
+  EventQueue q;
+  q.PushInOrder(1.0, EventType::kNetworkDelivery, 5);  // seq 0
+  q.Push(1.0, EventType::kExternalArrival, 7);         // seq 1
+  q.PushCompletion(1.0, 2, 70);                        // seq 2
+  q.PushInOrder(1.0, EventType::kNetworkDelivery, 6);  // seq 3
+  q.PushCompletion(1.0, 3, 80);                        // seq 4
+  q.Push(1.0, EventType::kFault, 8);                   // seq 5
+  q.PushInOrder(2.0, EventType::kNetworkDelivery, 9);  // seq 6
+  q.Push(0.5, EventType::kOverloadCheck, 0);           // seq 7
+  EXPECT_EQ(q.size(), 8u);
+  const Event first = q.Pop();
+  EXPECT_EQ(first.seq, 7u);
+  EXPECT_EQ(first.type, EventType::kOverloadCheck);
+  for (uint64_t seq = 0; seq < 6; ++seq) {
+    const Event e = q.Pop();
+    EXPECT_EQ(e.time, 1.0);
+    EXPECT_EQ(e.seq, seq);
+  }
+  const Event last = q.Pop();
+  EXPECT_EQ(last.seq, 6u);
+  EXPECT_EQ(last.type, EventType::kNetworkDelivery);
+  EXPECT_EQ(last.index, 9u);
+  EXPECT_EQ(last.tag, 0u);
   EXPECT_TRUE(q.empty());
 }
 

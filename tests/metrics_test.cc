@@ -2,7 +2,13 @@
 
 #include "runtime/metrics.h"
 
+#include <algorithm>
+#include <vector>
+
 #include <gtest/gtest.h>
+
+#include "common/random.h"
+#include "common/stats.h"
 
 namespace rod::sim {
 namespace {
@@ -61,6 +67,52 @@ TEST(MetricsTest, TotalLatencySummaryIsExactByDefault) {
   EXPECT_NEAR(s.mean, 0.25, 1e-12);
   EXPECT_NEAR(s.max, 0.4, 1e-12);
   EXPECT_NEAR(s.p50, 0.25, 1e-12);
+}
+
+TEST(MetricsTest, SelectedPercentilesEqualSortedQuantiles) {
+  // Summaries select p50, then p95 and p99 in what lies right of the
+  // previous rank, one series after another through one buffer; each
+  // must equal QuantileOfSorted on a sorted copy, bit for bit. Sizes
+  // 1-70 cover every small rank, including sizes where p95 and p99 share
+  // a rank; larger sizes and values drawn from {0, 1, 2} cover the rest.
+  std::vector<size_t> sizes;
+  for (size_t n = 1; n <= 70; ++n) sizes.push_back(n);
+  for (size_t n : {101u, 257u, 1000u, 4099u}) sizes.push_back(n);
+  Rng rng(2024);
+  size_t shared_ranks = 0;
+  for (bool duplicates : {false, true}) {
+    MetricsCollector m(1, 1.0, 5.0);
+    std::vector<std::vector<double>> series(sizes.size());
+    std::vector<double> all;
+    for (size_t i = 0; i < sizes.size(); ++i) {
+      for (size_t k = 0; k < sizes[i]; ++k) {
+        const double x = duplicates ? static_cast<double>(rng.NextIndex(3))
+                                    : rng.NextDouble();
+        series[i].push_back(x);
+        all.push_back(x);
+        m.RecordOutput(static_cast<uint32_t>(i), x);
+      }
+    }
+    const auto expect_quantiles = [](std::vector<double> v,
+                                     const LatencySummary& s) {
+      std::sort(v.begin(), v.end());
+      EXPECT_EQ(s.p50, QuantileOfSorted(v, 0.50)) << "n=" << v.size();
+      EXPECT_EQ(s.p95, QuantileOfSorted(v, 0.95)) << "n=" << v.size();
+      EXPECT_EQ(s.p99, QuantileOfSorted(v, 0.99)) << "n=" << v.size();
+    };
+    const auto summaries = m.SinkSummaries();
+    ASSERT_EQ(summaries.size(), sizes.size());
+    for (size_t i = 0; i < sizes.size(); ++i) {
+      expect_quantiles(series[i], summaries[i].second);
+      const double last = static_cast<double>(sizes[i] - 1);
+      if (static_cast<size_t>(0.95 * last) ==
+          static_cast<size_t>(0.99 * last)) {
+        ++shared_ranks;
+      }
+    }
+    expect_quantiles(all, m.TotalLatency());
+  }
+  EXPECT_GT(shared_ranks, 0u);
 }
 
 TEST(MetricsTest, ReservoirModeKeepsExactMeanMaxAndCounts) {

@@ -190,7 +190,7 @@ TEST(PinnedResultsTest, RestartBeforeACancelledCompletion) {
   // back, and the next tuple for y starts a new service before that time.
   // The node then has two completions pending at once: the new one takes
   // the node's completion slot in the event queue, and the cancelled one
-  // spills into the calendar, where it still pops (counted as a
+  // spills into the queue's heap, where it still pops (counted as a
   // processed kNodeDone) and is discarded.
   QueryGraph g;
   const InputStreamId s = g.AddInputStream("S");

@@ -5,8 +5,7 @@
 // via the plan-diff protocol, and writes an end-of-run cluster report
 // (plus the incident flight-recorder artifact when a worker died mid-run).
 //
-//   $ ./build/tools/rod_coordinator --port 7341 --workers 3 \
-//         --duration 3 --report report.json --flightrecorder fr.json
+//   $ ./build/tools/rod_coordinator --port 7341 --workers 3 --duration 3 --report report.json --flightrecorder fr.json
 //
 // The query graph defaults to the paper's random-trees workload
 // (--gen-streams/--gen-ops/--gen-seed); pass --graph FILE to load the

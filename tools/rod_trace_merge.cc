@@ -6,8 +6,7 @@
 // a kill-9 incident reads as a single aligned timeline in
 // chrome://tracing / Perfetto.
 //
-//   $ ./build/tools/rod_trace_merge -o merged.json \
-//         coordinator.trace.json w0.trace.json w1.trace.json
+//   $ ./build/tools/rod_trace_merge -o merged.json coordinator.trace.json w0.trace.json w1.trace.json
 
 #include <cstdio>
 #include <cstring>

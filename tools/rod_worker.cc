@@ -3,8 +3,7 @@
 // plan assigns to it until the coordinator orders shutdown (or dies).
 //
 //   $ ./build/tools/rod_worker --coordinator 7341
-//   $ ./build/tools/rod_worker --coordinator 7341 --capacity 0.5 \
-//         --http-port 9101 --name rack1-w0
+//   $ ./build/tools/rod_worker --coordinator 7341 --capacity 0.5 --http-port 9101 --name rack1-w0
 //
 // The process serves its own observability plane (/metrics, /healthz,
 // /readyz, /flightrecorder) unless --no-http is given.

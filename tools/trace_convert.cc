@@ -4,8 +4,7 @@
 // replays a set of them through SimulationOptions::replay.
 //
 //   # Materialize a rate-trace CSV into arrivals and store them
-//   $ ./build/tools/trace_convert --csv trace.csv --out trace.rodtrc \
-//         --seed 7 --duration 60 --self-check
+//   $ ./build/tools/trace_convert --csv trace.csv --out trace.rodtrc --seed 7 --duration 60 --self-check
 //
 //   # Several CSVs -> one store per input stream (out gets .s<k> inserted)
 //   $ ./build/tools/trace_convert --csv a.csv --csv b.csv --out run.rodtrc
