@@ -1,14 +1,14 @@
 // Micro-benchmark M2: Quasi-Monte-Carlo volume estimation — Halton vs
-// pseudo-random throughput and the cost profile across dimensions and
-// node counts ("even computing the feasible set size of a single plan ...
-// is expensive", §2.4 — this is why ROD avoids volume computations
-// entirely).
+// pseudo-random throughput, the cost of generating a sample set, and the
+// cost profile across dimensions and node counts ("even computing the
+// feasible set size of a single plan ... is expensive", §2.4 — this is
+// why ROD avoids volume computations entirely).
 
 #include <benchmark/benchmark.h>
 
 #include "bench_micro_main.h"
 #include "geometry/feasible_set.h"
-#include "geometry/qmc.h"
+#include "geometry/sample_cache.h"
 
 namespace {
 
@@ -50,21 +50,19 @@ void BM_RatioToIdealPseudo(benchmark::State& state) {
                           static_cast<int64_t>(samples));
 }
 
-void BM_HaltonNext(benchmark::State& state) {
-  rod::geom::HaltonSequence halton(static_cast<size_t>(state.range(0)));
+/// Cold generation of one cached sample set (both layouts), Halton or
+/// pseudo-random: what a sample-cache miss costs RatioToIdeal.
+void BM_GenerateSimplexSampleSet(benchmark::State& state) {
+  rod::geom::SimplexSampleKey key;
+  key.dims = static_cast<size_t>(state.range(0));
+  key.num_samples = static_cast<size_t>(state.range(1));
+  key.pseudo_random = state.range(2) != 0;
+  key.seed = key.pseudo_random ? 0x5eedf00dULL : 0;
   for (auto _ : state) {
-    benchmark::DoNotOptimize(halton.Next());
+    benchmark::DoNotOptimize(rod::geom::GenerateSimplexSampleSet(key));
   }
-}
-
-void BM_SimplexMap(benchmark::State& state) {
-  const size_t dims = static_cast<size_t>(state.range(0));
-  rod::Rng rng(3);
-  for (auto _ : state) {
-    rod::Vector cube(dims);
-    for (double& v : cube) v = rng.NextDouble();
-    benchmark::DoNotOptimize(rod::geom::MapUnitCubeToSimplex(std::move(cube)));
-  }
+  state.SetItemsProcessed(static_cast<int64_t>(state.iterations()) *
+                          static_cast<int64_t>(key.num_samples));
 }
 
 }  // namespace
@@ -75,7 +73,9 @@ BENCHMARK(BM_RatioToIdealHalton)
     ->Args({5, 32768})
     ->Args({10, 32768});
 BENCHMARK(BM_RatioToIdealPseudo)->Args({5, 32768})->Args({16, 32768});
-BENCHMARK(BM_HaltonNext)->Arg(3)->Arg(10);
-BENCHMARK(BM_SimplexMap)->Arg(3)->Arg(10);
+BENCHMARK(BM_GenerateSimplexSampleSet)
+    ->Args({5, 32768, 0})
+    ->Args({10, 32768, 0})
+    ->Args({16, 32768, 1});
 
 ROD_MICRO_BENCH_MAIN()

@@ -6,7 +6,8 @@
 // both) — and measures kernel throughput (samples/sec), the speedup over
 // 1 thread, bit-exact agreement between the parallel and sequential
 // estimates and between the SIMD and scalar paths, and the sample-cache
-// cold (generate) vs warm (reuse) cost. A second section times ROD's
+// cold (generate, timed over repeated fresh-cache misses) vs warm (reuse)
+// cost. A second section times ROD's
 // volume-greedy placement with delta candidate scoring on vs off and
 // checks the placements are identical. Emits a machine-readable JSON
 // baseline (fields documented in docs/BENCH_VOLUME.md) so later PRs can
@@ -67,7 +68,10 @@ struct Measurement {
   /// SIMD-path median throughput over the scalar path's at the same
   /// (dims, nodes, samples, threads); 0 on scalar rows.
   double simd_speedup_vs_scalar = 0.0;
-  double cache_cold_ms = 0.0;
+  /// Generation time of this (dims, samples) set on a fresh-cache miss,
+  /// over `measurements` cold generations.
+  bench::Spread cache_cold_ms;
+  double gen_samples_per_sec = 0.0;  ///< samples / median cold time
   double cache_warm_ms = 0.0;
 };
 
@@ -157,7 +161,8 @@ void WriteJson(const std::string& path, const std::string& mode,
     w.Key("bitexact_vs_seq").Bool(m.bitexact_vs_seq);
     w.Key("bitexact_vs_scalar").Bool(m.bitexact_vs_scalar);
     w.Key("simd_speedup_vs_scalar").Double(m.simd_speedup_vs_scalar);
-    w.Key("cache_cold_ms").Double(m.cache_cold_ms);
+    bench::WriteSpread(w, "cache_cold_ms", m.cache_cold_ms);
+    w.Key("gen_samples_per_sec").Double(m.gen_samples_per_sec);
     w.Key("cache_warm_ms").Double(m.cache_warm_ms);
     w.EndObject();
   }
@@ -233,7 +238,7 @@ int main(int argc, char** argv) {
   bench::Banner("volume-engine perf sweep (dims x nodes x samples x threads)");
   bench::Table table({"path", "dims", "nodes", "samples", "threads",
                       "Msamples/s", "p10", "p90", "speedup", "vs scalar",
-                      "bitexact", "cold ms", "warm ms"});
+                      "bitexact", "cold ms", "gen Ms/s", "warm ms"});
   std::vector<Measurement> rows;
   bool all_bitexact = true;
   // SIMD-vs-scalar throughput at the largest workload, threads_list[0]
@@ -247,17 +252,25 @@ int main(int argc, char** argv) {
       vol.num_samples = samples;
 
       // Cold vs warm cache cost for this (dims, samples) key: generation
-      // (miss) against a lookup returning the shared buffer (hit).
-      geom::SimplexSampleCache fresh(4);
+      // (a miss on a fresh cache, repeated `measurements` times) against a
+      // lookup returning the shared buffer (hit).
       geom::SimplexSampleKey key;
       key.dims = w.dims;
       key.num_samples = samples;
-      auto t_cold = std::chrono::steady_clock::now();
-      (void)fresh.Get(key);
-      const double cold_ms = SecondsSince(t_cold) * 1e3;
-      auto t_warm = std::chrono::steady_clock::now();
-      (void)fresh.Get(key);
-      const double warm_ms = SecondsSince(t_warm) * 1e3;
+      std::vector<double> cold_runs_ms;
+      double warm_ms = 0.0;
+      for (size_t r = 0; r < measurements; ++r) {
+        geom::SimplexSampleCache fresh(4);
+        auto t_cold = std::chrono::steady_clock::now();
+        (void)fresh.Get(key);
+        cold_runs_ms.push_back(SecondsSince(t_cold) * 1e3);
+        if (r == 0) {
+          auto t_warm = std::chrono::steady_clock::now();
+          (void)fresh.Get(key);
+          warm_ms = SecondsSince(t_warm) * 1e3;
+        }
+      }
+      const bench::Spread cold_ms = bench::SpreadOf(cold_runs_ms);
 
       const size_t reps = std::max<size_t>(1, target_evals / samples);
       // Every (path, threads) row of this block is timed `measurements`
@@ -321,6 +334,8 @@ int main(int argc, char** argv) {
         m.bitexact_vs_seq = t.stable && m.ratio == base.ratio;
         m.bitexact_vs_scalar = !t.simd;  // SIMD rows fixed below
         m.cache_cold_ms = cold_ms;
+        m.gen_samples_per_sec =
+            static_cast<double>(samples) / (cold_ms.median / 1e3);
         m.cache_warm_ms = warm_ms;
         if (!t.simd && simd_available) {
           Measurement& sm = rows[first_row + ti];
@@ -352,7 +367,8 @@ int main(int argc, char** argv) {
                           ? bench::Fmt(m.simd_speedup_vs_scalar, 2)
                           : std::string("-"),
                       m.bitexact_vs_seq && m.bitexact_vs_scalar ? "yes" : "NO",
-                      bench::Fmt(m.cache_cold_ms, 2),
+                      bench::Fmt(m.cache_cold_ms.median, 2),
+                      bench::Fmt(m.gen_samples_per_sec / 1e6, 1),
                       bench::Fmt(m.cache_warm_ms, 4)});
       }
     }

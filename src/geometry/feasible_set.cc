@@ -19,6 +19,14 @@ namespace {
 /// across 8 threads.
 constexpr size_t kKernelGrain = 1024;
 
+/// The thread count a membership count over `num_samples` samples runs
+/// with: 1 below kMinParallelKernelWork, `num_threads` from there on.
+size_t KernelThreads(size_t num_threads, const Matrix& weights,
+                     size_t num_samples) {
+  const size_t work = weights.rows() * num_samples * weights.cols();
+  return work < kMinParallelKernelWork ? 1 : num_threads;
+}
+
 /// The sample-set key RatioToIdeal / RatioToIdealAbove integrate over.
 SimplexSampleKey BaseKey(size_t dims, const VolumeOptions& options) {
   return VolumeSampleKey(dims, options);
@@ -117,7 +125,8 @@ size_t CountContainedScalarRange(const OrderedRows& w, const Matrix& samples,
 /// `W x <= 1 + tol`, with per-sample early exit over the node rows.
 /// Chunk boundaries are fixed by kKernelGrain and partial counts are
 /// integers reduced in chunk order, so the result is bit-identical for
-/// every `num_threads`.
+/// every `num_threads` (and for the caller-only run below
+/// kMinParallelKernelWork).
 size_t CountContainedImpl(const Matrix& weights, const Matrix& samples,
                           size_t num_threads,
                           std::span<const double> lower_bound, double scale,
@@ -127,8 +136,8 @@ size_t CountContainedImpl(const Matrix& weights, const Matrix& samples,
   const OrderedRows ordered = OrderRows(weights);
   const size_t num_chunks = (num_samples + kKernelGrain - 1) / kKernelGrain;
   std::vector<size_t> counts(num_chunks, 0);
-  ParallelFor(num_threads, num_samples, kKernelGrain,
-              [&](size_t chunk, size_t begin, size_t end) {
+  ParallelFor(KernelThreads(num_threads, weights, num_samples), num_samples,
+              kKernelGrain, [&](size_t chunk, size_t begin, size_t end) {
                 Vector mapped(lower_bound.empty() ? 0 : samples.cols());
                 counts[chunk] = CountContainedScalarRange(
                     ordered, samples, begin, end, lower_bound, scale, tol,
@@ -162,8 +171,8 @@ size_t CountContainedImpl(const Matrix& weights, const SimplexSampleSet& set,
   const size_t num_chunks = (num_samples + kKernelGrain - 1) / kKernelGrain;
   std::vector<size_t> counts(num_chunks, 0);
   ParallelFor(
-      num_threads, num_samples, kKernelGrain,
-      [&](size_t chunk, size_t begin, size_t end) {
+      KernelThreads(num_threads, weights, num_samples), num_samples,
+      kKernelGrain, [&](size_t chunk, size_t begin, size_t end) {
         Vector mapped(lower_bound.empty() ? 0 : d);
         Vector map_scratch(lower_bound.empty() ? 0 : d * kSimdGroup);
         size_t tail = begin;

@@ -24,6 +24,17 @@ namespace rod::geom {
 /// verdicts bit for bit, e.g. the delta placement evaluation).
 inline constexpr double kMembershipTol = 1e-12;
 
+/// Work (node rows x samples x dims) below which a membership count runs
+/// on the calling thread whatever `num_threads` asks: waking pool helpers
+/// costs more than the scan saves. Measured with bench_volume_perf's
+/// AVX2 path on a 4-vCPU Xeon VM, three sweeps of 3-6 dims x 5-20 nodes x
+/// 4,096-32,768 samples at 1, 2, 4 and 8 threads: up to 204,800 the pool
+/// mostly lost (5 x 10 x 4,096: 0.77-1.04x at 2 threads, 0.90-0.96x at 4;
+/// 3 x 10 x 4,096: 0.69-0.92x at 2), and from 245,760 it mostly won
+/// (3 x 5 x 16,384: 1.09-1.55x at 2, 1.43-2.27x at 4). Counts are
+/// integers, so estimates are identical on either side.
+inline constexpr size_t kMinParallelKernelWork = 225'000;
+
 /// Knobs for Monte-Carlo volume estimation.
 struct VolumeOptions {
   /// Number of sample points. The paper-scale experiments (d = 5) converge
@@ -43,7 +54,8 @@ struct VolumeOptions {
 
   /// Parallelism of the estimate: > 1 runs the membership kernel (and the
   /// Cranley–Patterson replications of RatioToIdealWithError) on the
-  /// shared thread pool. Results are bit-identical for every value —
+  /// shared thread pool; a kernel below kMinParallelKernelWork stays on
+  /// the calling thread. Results are bit-identical for every value —
   /// chunking is fixed and partial counts are reduced in chunk order.
   size_t num_threads = 1;
 };
@@ -99,7 +111,8 @@ class FeasibleSet {
   /// Membership kernel: the number of rows `x` of `samples` (an S x d
   /// matrix of points) with `W x <= 1 + tol`, testing node rows with
   /// per-sample early exit. Chunked over the shared pool when
-  /// `num_threads > 1`; the count is identical for every thread count.
+  /// `num_threads > 1` and the problem reaches kMinParallelKernelWork;
+  /// the count is identical for every thread count.
   size_t CountContained(const Matrix& samples, size_t num_threads = 1,
                         double tol = 1e-12) const;
 

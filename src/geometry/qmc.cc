@@ -1,8 +1,5 @@
 #include "geometry/qmc.h"
 
-#include <algorithm>
-#include <cassert>
-
 namespace rod::geom {
 
 std::vector<uint32_t> FirstPrimes(size_t count) {
@@ -22,48 +19,6 @@ std::vector<uint32_t> FirstPrimes(size_t count) {
     ++candidate;
   }
   return primes;
-}
-
-double RadicalInverse(uint64_t index, uint32_t base) {
-  assert(base >= 2);
-  double result = 0.0;
-  double inv_base = 1.0 / static_cast<double>(base);
-  double frac = inv_base;
-  while (index > 0) {
-    result += static_cast<double>(index % base) * frac;
-    index /= base;
-    frac *= inv_base;
-  }
-  return result;
-}
-
-HaltonSequence::HaltonSequence(size_t dims, uint64_t start_index)
-    : bases_(FirstPrimes(dims)), index_(start_index) {
-  assert(dims >= 1);
-}
-
-Vector HaltonSequence::Next() {
-  Vector point(bases_.size());
-  for (size_t k = 0; k < bases_.size(); ++k) {
-    point[k] = RadicalInverse(index_, bases_[k]);
-  }
-  ++index_;
-  return point;
-}
-
-Vector MapUnitCubeToSimplex(Vector cube_point) {
-  // Sorted uniforms u_(1) <= ... <= u_(d) have spacings
-  // (u_(1)-0, u_(2)-u_(1), ..., u_(d)-u_(d-1)) distributed uniformly over
-  // the solid simplex {x >= 0, sum x = u_(d) <= 1}: the sort has density d!
-  // on the ordered region and the difference map is unimodular.
-  std::sort(cube_point.begin(), cube_point.end());
-  double prev = 0.0;
-  for (double& v : cube_point) {
-    const double cur = v;
-    v = cur - prev;
-    prev = cur;
-  }
-  return cube_point;
 }
 
 }  // namespace rod::geom

@@ -5,51 +5,22 @@
 // A Halton low-discrepancy sequence drives sampling; a measure-preserving
 // spacings transform maps the unit cube onto the solid probability simplex
 // (the normalized ideal feasible set), so the feasible ratio is estimated
-// with O((log N)^d / N) error instead of plain MC's O(N^{-1/2}).
+// with O((log N)^d / N) error instead of plain MC's O(N^{-1/2}). The
+// sequence and the transform run inside the sample-set generator
+// (geometry/sample_cache.cc), which steps the Halton digits of a whole
+// chunk of indices instead of dividing each index anew.
 
 #ifndef ROD_GEOMETRY_QMC_H_
 #define ROD_GEOMETRY_QMC_H_
 
+#include <cstddef>
 #include <cstdint>
 #include <vector>
-
-#include "common/matrix.h"
 
 namespace rod::geom {
 
 /// The first `count` prime numbers (Halton bases).
 std::vector<uint32_t> FirstPrimes(size_t count);
-
-/// Van der Corput radical inverse of `index` in base `base`, in [0, 1).
-double RadicalInverse(uint64_t index, uint32_t base);
-
-/// Halton low-discrepancy sequence in [0,1)^dims.
-///
-/// Deterministic: the i-th point is the same for every instance with the
-/// same `dims` and `start_index`. The default start index skips the early
-/// highly correlated prefix.
-class HaltonSequence {
- public:
-  /// Sequence over `dims` dimensions (dims >= 1). Dimensions beyond ~12
-  /// suffer the classic Halton correlation artifacts; the volume estimator
-  /// falls back to pseudo-random sampling there.
-  explicit HaltonSequence(size_t dims, uint64_t start_index = 32);
-
-  /// Next point of the sequence.
-  Vector Next();
-
-  size_t dims() const { return bases_.size(); }
-
- private:
-  std::vector<uint32_t> bases_;
-  uint64_t index_;
-};
-
-/// Maps a point of the unit cube [0,1]^d onto the solid simplex
-/// `{x >= 0, sum x <= 1}` uniformly in measure (sorted-spacings transform:
-/// sort the coordinates and take consecutive differences). Sorting is done
-/// in place on the argument.
-Vector MapUnitCubeToSimplex(Vector cube_point);
 
 }  // namespace rod::geom
 

@@ -3,10 +3,10 @@
 // A shared, thread-safe cache of simplex sample matrices. Every volume
 // estimate in a bench sweep integrates over the *same* ideal simplex; only
 // the weight matrices differ between placements. Generating the Halton /
-// pseudo-random points and mapping them through MapUnitCubeToSimplex once
-// per (dims, samples, generator, seed, shift) key — then sharing the S x d
-// row-major matrix read-only across all placements — turns RatioToIdeal
-// from generate+sort+test per call into a pure membership kernel.
+// pseudo-random points and mapping them onto the simplex once per (dims,
+// samples, generator, seed, shift) key — then sharing the S x d row-major
+// matrix read-only across all placements — turns RatioToIdeal from
+// generate+sort+test per call into a pure membership kernel.
 
 #ifndef ROD_GEOMETRY_SAMPLE_CACHE_H_
 #define ROD_GEOMETRY_SAMPLE_CACHE_H_
@@ -77,6 +77,7 @@ struct SimplexSampleKey {
 /// solid simplex `{x >= 0, sum x <= 1}`). Pure and deterministic: the same
 /// key yields the same matrix bit for bit, and the points are identical to
 /// what the pre-cache sequential estimator drew for the same options.
+/// The rows of GenerateSimplexSampleSet(key).
 Matrix GenerateSimplexSamples(const SimplexSampleKey& key);
 
 /// One cached sample set in both layouts the membership kernel consumes:
@@ -97,7 +98,10 @@ struct SimplexSampleSet {
   }
 };
 
-/// Builds the dual-layout sample set for `key` (generation + transpose).
+/// Builds the dual-layout sample set for `key`, writing each point to both
+/// layouts in one pass. Halton sets are generated in chunks on the shared
+/// thread pool (inline when called from a pool worker); the bytes do not
+/// depend on it.
 SimplexSampleSet GenerateSimplexSampleSet(const SimplexSampleKey& key);
 
 /// The cache. `Get` is safe to call from ParallelFor workers; generation

@@ -4,34 +4,9 @@
 #include <cassert>
 #include <cmath>
 
-#include "geometry/hyperplane.h"
-#include "geometry/qmc.h"
+#include "geometry/sample_cache.h"
 
 namespace rod::place {
-
-namespace {
-
-/// Draws the shared sample set over the ideal simplex.
-std::vector<Vector> DrawSamples(size_t dims, const geom::VolumeOptions& opt) {
-  std::vector<Vector> samples;
-  samples.reserve(opt.num_samples);
-  if (opt.use_pseudo_random || dims > opt.max_halton_dims) {
-    Rng rng(opt.seed);
-    for (size_t s = 0; s < opt.num_samples; ++s) {
-      Vector cube(dims);
-      for (double& v : cube) v = rng.NextDouble();
-      samples.push_back(geom::MapUnitCubeToSimplex(std::move(cube)));
-    }
-  } else {
-    geom::HaltonSequence halton(dims);
-    for (size_t s = 0; s < opt.num_samples; ++s) {
-      samples.push_back(geom::MapUnitCubeToSimplex(halton.Next()));
-    }
-  }
-  return samples;
-}
-
-}  // namespace
 
 Result<OptimalResult> OptimalPlace(const query::LoadModel& model,
                                    const SystemSpec& system,
@@ -58,7 +33,11 @@ Result<OptimalResult> OptimalPlace(const query::LoadModel& model,
         "or raise max_plans");
   }
 
-  const std::vector<Vector> samples = DrawSamples(dims, options.volume);
+  // The sample set every volume estimate with these options integrates
+  // over, read row by row.
+  const auto sample_set = geom::SimplexSampleCache::Global().Get(
+      geom::VolumeSampleKey(dims, options.volume));
+  const Matrix& samples = sample_set->samples;
 
   // Precompute normalization so per-plan weight evaluation is one pass:
   // w_ik = node_coeff(i,k) * inv_norm(i,k), inv_norm = 1/(l_k * C_i/C_T).
@@ -88,7 +67,8 @@ Result<OptimalResult> OptimalPlace(const query::LoadModel& model,
       for (size_t k = 0; k < dims; ++k) dst[k] += row[k];
     }
     size_t feasible = 0;
-    for (const Vector& x : samples) {
+    for (size_t s = 0; s < samples.rows(); ++s) {
+      const std::span<const double> x = samples.Row(s);
       bool ok = true;
       for (size_t i = 0; i < n && ok; ++i) {
         double wx = 0.0;
@@ -100,7 +80,7 @@ Result<OptimalResult> OptimalPlace(const query::LoadModel& model,
       if (ok) ++feasible;
     }
     const double ratio =
-        static_cast<double>(feasible) / static_cast<double>(samples.size());
+        static_cast<double>(feasible) / static_cast<double>(samples.rows());
     if (ratio > best.ratio_to_ideal) {
       best.ratio_to_ideal = ratio;
       best.placement = Placement(n, assignment);

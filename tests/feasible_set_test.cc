@@ -7,8 +7,10 @@
 
 #include <cmath>
 
+#include "common/thread_pool.h"
 #include "geometry/polygon2d.h"
 #include "geometry/sample_cache.h"
+#include "telemetry/telemetry.h"
 
 namespace rod::geom {
 namespace {
@@ -273,6 +275,68 @@ TEST(ParallelVolumeTest, MembershipKernelMatchesContains) {
   for (size_t threads : {1u, 2u, 8u}) {
     EXPECT_EQ(fs.CountContained(samples, threads), expected) << threads;
   }
+}
+
+/// A `nodes` x `dims` weight matrix with entries in [0.2, 1.6].
+Matrix RandomWeights(size_t nodes, size_t dims, uint64_t seed) {
+  Rng rng(seed);
+  Matrix w(nodes, dims);
+  for (size_t i = 0; i < nodes; ++i) {
+    for (size_t k = 0; k < dims; ++k) w(i, k) = rng.Uniform(0.2, 1.6);
+  }
+  return w;
+}
+
+/// Runs `fn` with a sink on the shared pool and returns how many pool
+/// tasks ran meanwhile.
+template <typename Fn>
+uint64_t SharedPoolTasksDuring(Fn&& fn) {
+  telemetry::Telemetry telemetry;
+  ThreadPool::Shared().set_telemetry(&telemetry);
+  fn();
+  ThreadPool::Shared().set_telemetry(nullptr);
+  return telemetry.Snapshot().counters.at("pool.tasks");
+}
+
+/// Counts of one problem at 1, 2, 4 and 8 threads through RatioToIdeal,
+/// RatioToIdealAbove and CountContained, checked equal to the 1-thread
+/// counts; returns the pool tasks the multi-thread runs used. The sample
+/// set is generated before the sink is attached.
+uint64_t CheckCountsAcrossThreadCounts(const FeasibleSet& fs,
+                                       size_t num_samples) {
+  VolumeOptions options;
+  options.num_samples = num_samples;
+  const Vector lower(fs.dims(), 0.02);
+  const double ratio = fs.RatioToIdeal(options);
+  const double above = *fs.RatioToIdealAbove(lower, options);
+  const Matrix samples =
+      SimplexSampleCache::Global().Get(VolumeSampleKey(fs.dims(), options))
+          ->samples;
+  const size_t count = fs.CountContained(samples);
+  EXPECT_GT(ratio, 0.0);
+  EXPECT_LT(ratio, 1.0);
+  return SharedPoolTasksDuring([&] {
+    for (size_t threads : {2u, 4u, 8u}) {
+      options.num_threads = threads;
+      EXPECT_EQ(fs.RatioToIdeal(options), ratio) << threads;
+      EXPECT_EQ(*fs.RatioToIdealAbove(lower, options), above) << threads;
+      EXPECT_EQ(fs.CountContained(samples, threads), count) << threads;
+    }
+  });
+}
+
+TEST(ParallelVolumeTest, SmallProblemStaysOnTheCallingThread) {
+  // 3 dims x 5 nodes x 8,192 samples: work 122,880.
+  const FeasibleSet fs(RandomWeights(5, 3, 11));
+  ASSERT_LT(5u * 8192u * 3u, kMinParallelKernelWork);
+  EXPECT_EQ(CheckCountsAcrossThreadCounts(fs, 8192), 0u);
+}
+
+TEST(ParallelVolumeTest, ProblemAboveTheFloorFansOut) {
+  // 6 dims x 20 nodes x 16,384 samples: work 1,966,080.
+  const FeasibleSet fs(RandomWeights(20, 6, 12));
+  ASSERT_GE(20u * 16384u * 6u, kMinParallelKernelWork);
+  EXPECT_GT(CheckCountsAcrossThreadCounts(fs, 16384), 0u);
 }
 
 }  // namespace

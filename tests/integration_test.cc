@@ -5,7 +5,6 @@
 #include <gtest/gtest.h>
 
 #include "geometry/feasible_set.h"
-#include "geometry/qmc.h"
 #include "placement/baselines.h"
 #include "placement/evaluator.h"
 #include "placement/rod.h"
@@ -13,6 +12,7 @@
 #include "query/load_model.h"
 #include "runtime/engine.h"
 #include "trace/trace.h"
+#include "qmc_oracle.h"
 
 namespace rod {
 namespace {

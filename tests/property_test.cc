@@ -10,12 +10,12 @@
 #include "geometry/feasible_set.h"
 #include "geometry/hyperplane.h"
 #include "geometry/polygon2d.h"
-#include "geometry/qmc.h"
 #include "placement/baselines.h"
 #include "placement/evaluator.h"
 #include "placement/rod.h"
 #include "query/graph_gen.h"
 #include "query/load_model.h"
+#include "qmc_oracle.h"
 
 namespace rod {
 namespace {

@@ -7,6 +7,7 @@
 #include <cmath>
 
 #include "common/random.h"
+#include "qmc_oracle.h"
 
 namespace rod::geom {
 namespace {

@@ -1,14 +1,24 @@
 // Tests for the simplex sample cache: hit/reuse semantics (same key ->
 // same shared buffer, no regeneration), exact reproduction of the
 // sequential generators (Halton, pseudo-random, Cranley–Patterson shifts),
-// access-order independence of shift replications, and FIFO eviction.
+// byte-for-byte agreement of both layouts with the per-point oracle
+// whether the set is chunked over the shared pool or generated inline on
+// a pool worker, access-order independence of shift replications, and
+// FIFO eviction.
 
 #include "geometry/sample_cache.h"
 
 #include <gtest/gtest.h>
 
+#include <cstring>
+#include <sstream>
+#include <string>
+
 #include "common/random.h"
-#include "geometry/qmc.h"
+#include "common/thread_pool.h"
+#include "geometry/simd_kernel.h"
+#include "qmc_oracle.h"
+#include "telemetry/telemetry.h"
 
 namespace rod::geom {
 namespace {
@@ -150,6 +160,138 @@ TEST(SampleCacheTest, ClearResetsEntriesAndCounters) {
   EXPECT_EQ(cache.size(), 0u);
   EXPECT_EQ(cache.hits(), 0u);
   EXPECT_EQ(cache.misses(), 0u);
+}
+
+/// Runs `fn` on the worker thread of a private pool, where a ParallelFor
+/// runs inline instead of fanning out.
+template <typename Fn>
+void RunOnPoolWorker(Fn&& fn) {
+  ThreadPool pool(1);
+  pool.Submit([&fn] { fn(); });
+}  // ~ThreadPool runs the queued task, then joins.
+
+/// Index of the first of `n` doubles whose bytes differ, or n.
+size_t FirstByteDifference(const double* a, const double* b, size_t n) {
+  if (std::memcmp(a, b, n * sizeof(double)) == 0) return n;
+  size_t i = 0;
+  while (std::memcmp(a + i, b + i, sizeof(double)) == 0) ++i;
+  return i;
+}
+
+std::string Describe(const SimplexSampleKey& key) {
+  std::ostringstream out;
+  out << "dims " << key.dims << ", samples " << key.num_samples
+      << (key.pseudo_random ? ", pseudo-random" : ", halton")
+      << ", shift_index " << key.shift_index;
+  return out.str();
+}
+
+/// Checks both layouts of `set` against the oracle's matrix: the rows
+/// byte for byte, the lanes byte for byte as its transpose, and every pad
+/// lane zero.
+void ExpectMatchesOracle(const SimplexSampleSet& set, const Matrix& expected,
+                         const std::string& what) {
+  const size_t S = expected.rows(), d = expected.cols();
+  ASSERT_EQ(set.samples.rows(), S) << what;
+  ASSERT_EQ(set.samples.cols(), d) << what;
+  EXPECT_EQ(FirstByteDifference(set.samples.Row(0).data(),
+                                expected.Row(0).data(), S * d),
+            S * d)
+      << what << ": rows differ (first differing double shown)";
+  ASSERT_EQ(set.lane_stride, (S + kSimdGroup - 1) / kSimdGroup * kSimdGroup)
+      << what;
+  ASSERT_EQ(set.lanes.size(), set.lane_stride * d) << what;
+  AlignedLaneBuffer lanes(set.lane_stride * d, 0.0);
+  for (size_t s = 0; s < S; ++s) {
+    for (size_t k = 0; k < d; ++k) {
+      lanes[k * set.lane_stride + s] = expected(s, k);
+    }
+  }
+  EXPECT_EQ(FirstByteDifference(set.lanes.data(), lanes.data(), lanes.size()),
+            lanes.size())
+      << what << ": lanes differ (first differing double shown)";
+  for (size_t k = 0; k < d; ++k) {
+    for (size_t s = S; s < set.lane_stride; ++s) {
+      EXPECT_EQ(set.Lane(k)[s], 0.0) << what << ": pad lane " << k;
+    }
+  }
+}
+
+/// Every key kind the generator serves at `dims` and `num_samples`:
+/// unshifted Halton, Cranley–Patterson replications 0 and 2, and the
+/// pseudo-random stream. Halton keys are built directly, so dims above
+/// VolumeOptions::max_halton_dims get Halton points too.
+std::vector<SimplexSampleKey> KeysFor(size_t dims, size_t num_samples) {
+  std::vector<SimplexSampleKey> keys;
+  for (uint64_t shift_index : {0u, 1u, 3u}) {
+    SimplexSampleKey key = HaltonKey(dims, num_samples);
+    key.shift_index = shift_index;
+    // The shift seed RatioToIdealWithError derives from the default
+    // VolumeOptions::seed.
+    key.shift_seed = shift_index == 0 ? 0 : 0x5eedf00dULL ^ 0xc9a471e5ULL;
+    keys.push_back(key);
+  }
+  SimplexSampleKey pseudo = HaltonKey(dims, num_samples);
+  pseudo.pseudo_random = true;
+  pseudo.seed = 0x5eedf00dULL;
+  keys.push_back(pseudo);
+  return keys;
+}
+
+class GeneratorOracleTest : public ::testing::TestWithParam<size_t> {};
+
+TEST_P(GeneratorOracleTest, BothLayoutsMatchThePerPointPathByteForByte) {
+  // Sample counts on both sides of the 1,024-sample chunk edge, and far
+  // enough for the indices (from 32) to carry into a new digit in bases
+  // 2 and 3: 2^16 and 3^10 both lie below 32 + 70,001.
+  const size_t d = GetParam();
+  for (size_t num_samples :
+       {1u, 7u, 1023u, 1024u, 1025u, 5000u, 32768u, 70001u}) {
+    for (const SimplexSampleKey& key : KeysFor(d, num_samples)) {
+      const std::string what = Describe(key);
+      const Matrix expected = OracleSimplexSamples(key);
+      // From the main thread: Halton sets fan out over the shared pool.
+      const SimplexSampleSet fanned = GenerateSimplexSampleSet(key);
+      ExpectMatchesOracle(fanned, expected, what + " (main thread)");
+      const Matrix rows = GenerateSimplexSamples(key);
+      EXPECT_EQ(FirstByteDifference(rows.Row(0).data(),
+                                    expected.Row(0).data(), num_samples * d),
+                num_samples * d)
+          << what << " (rows only)";
+      // From a pool worker: the same generator runs inline.
+      SimplexSampleSet inline_set;
+      RunOnPoolWorker([&] { inline_set = GenerateSimplexSampleSet(key); });
+      ExpectMatchesOracle(inline_set, expected, what + " (pool worker)");
+    }
+  }
+}
+
+INSTANTIATE_TEST_SUITE_P(Dims1To16, GeneratorOracleTest,
+                         ::testing::Range<size_t>(1, 17));
+
+TEST(SampleCacheTest, HaltonSetFansOutFromMainThreadButNotFromAWorker) {
+  if (ThreadPool::Shared().num_threads() < 2) {
+    GTEST_SKIP() << "the shared pool has one thread: nothing to fan out to";
+  }
+  const SimplexSampleKey key = HaltonKey(4, 8192);
+  telemetry::Telemetry telemetry;
+  auto tasks = [&] { return telemetry.Snapshot().counters.at("pool.tasks"); };
+  ThreadPool::Shared().set_telemetry(&telemetry);
+  const SimplexSampleSet fanned = GenerateSimplexSampleSet(key);
+  const uint64_t after_main = tasks();
+  SimplexSampleSet inline_set;
+  RunOnPoolWorker([&] { inline_set = GenerateSimplexSampleSet(key); });
+  const uint64_t after_worker = tasks();
+  ThreadPool::Shared().set_telemetry(nullptr);
+  EXPECT_GT(after_main, 0u);            // helper tasks ran on the pool
+  EXPECT_EQ(after_worker, after_main);  // the worker ran every chunk itself
+  const size_t n = fanned.samples.rows() * fanned.samples.cols();
+  EXPECT_EQ(FirstByteDifference(fanned.samples.Row(0).data(),
+                                inline_set.samples.Row(0).data(), n),
+            n);
+  EXPECT_EQ(FirstByteDifference(fanned.lanes.data(), inline_set.lanes.data(),
+                                fanned.lanes.size()),
+            fanned.lanes.size());
 }
 
 TEST(SampleCacheTest, GlobalIsOneInstance) {
