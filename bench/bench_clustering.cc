@@ -34,11 +34,16 @@ using rod::query::StreamRef;
 QueryGraph ChainWorkload(double comm_cost, rod::Rng& rng) {
   QueryGraph g;
   for (size_t k = 0; k < 3; ++k) {
-    const auto in = g.AddInputStream("I" + std::to_string(k));
+    const auto in =
+        g.AddInputStream(std::string("I").append(std::to_string(k)));
     StreamRef prev = StreamRef::Input(in);
     for (int j = 0; j < 8; ++j) {
+      const std::string name = std::string("c")
+                                   .append(std::to_string(k))
+                                   .append("_")
+                                   .append(std::to_string(j));
       prev = StreamRef::Op(*g.AddOperator(
-          {.name = "c" + std::to_string(k) + "_" + std::to_string(j),
+          {.name = name,
            .kind = OperatorKind::kDelay,
            .cost = rng.Uniform(0.5e-3, 2e-3),
            .selectivity = rng.Uniform(0.7, 1.0)},

@@ -25,6 +25,12 @@ using rod::query::OperatorKind;
 using rod::query::QueryGraph;
 using rod::query::StreamRef;
 
+/// "(a,b)", appended piece by piece: gcc 12 at -O3 warns -Wrestrict on the
+/// inlined temporaries of "(" + a + ...
+std::string Pair(const std::string& a, const std::string& b) {
+  return std::string("(").append(a).append(",").append(b).append(")");
+}
+
 QueryGraph Figure4Graph() {
   QueryGraph g;
   const auto i1 = g.AddInputStream("I1");
@@ -99,10 +105,10 @@ int main(int argc, char** argv) {
     auto exact = rod::geom::ExactRatioToIdeal2D(*w);
     table.AddRow(
         {pc.name,
-         "(" + Fmt(ln(0, 0), 1) + "," + Fmt(ln(0, 1), 1) + ")",
-         "(" + Fmt(ln(1, 0), 1) + "," + Fmt(ln(1, 1), 1) + ")",
-         "(" + Fmt((*w)(0, 0), 2) + "," + Fmt((*w)(0, 1), 2) + ")",
-         "(" + Fmt((*w)(1, 0), 2) + "," + Fmt((*w)(1, 1), 2) + ")",
+         Pair(Fmt(ln(0, 0), 1), Fmt(ln(0, 1), 1)),
+         Pair(Fmt(ln(1, 0), 1), Fmt(ln(1, 1), 1)),
+         Pair(Fmt((*w)(0, 0), 2), Fmt((*w)(0, 1), 2)),
+         Pair(Fmt((*w)(1, 0), 2), Fmt((*w)(1, 1), 2)),
          Fmt(*eval.MinPlaneDistance(pc.plan)), Fmt(*exact)});
   }
   table.Print();

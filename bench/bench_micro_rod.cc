@@ -1,15 +1,20 @@
 // Micro-benchmark M1: ROD placement runtime scaling in the number of
 // operators m, nodes n, and input streams d. Each unit is scored on every
-// node from per-node row summaries, at O(|K|) for the |K| axes it loads,
-// plus O(d) for the few nodes whose plane distance is computed exactly,
-// and the operators are sorted in O(m log m) — static placement must be
-// cheap enough to rerun on every provisioning change. Random-tree
+// node by two vector passes over per-node tables, at O(|K|) for the |K|
+// axes it loads and with no division without a lower bound, plus O(d) for
+// the few nodes whose plane distance is computed exactly, and the
+// operators are sorted in O(m log m) — static placement must be cheap
+// enough to rerun on every provisioning change (DESIGN §9.6). Random-tree
 // operators load exactly one stream; BM_RodPlaceMatrixDense loads every
-// axis of every unit, the other side of that sparsity.
+// axis of every unit, the other side of that sparsity. The passes run at
+// width 4 when the CPU has AVX2 and at width 2 otherwise; the *_scalar
+// registrations force width 2 (SetSimdKernelEnabled(false)), so one run
+// shows what the dispatch buys.
 
 #include <benchmark/benchmark.h>
 
 #include "bench_micro_main.h"
+#include "geometry/simd_kernel.h"
 #include "placement/rod.h"
 #include "query/graph_gen.h"
 #include "query/load_model.h"
@@ -87,6 +92,26 @@ void BM_RodPlaceMatrixDense(benchmark::State& state) {
                           static_cast<int64_t>(units));
 }
 
+/// Runs `bench` with the SIMD dispatch off, then restores it.
+void ScalarLeg(benchmark::State& state, void (*bench)(benchmark::State&)) {
+  const bool before = rod::geom::SimdKernelEnabled();
+  rod::geom::SetSimdKernelEnabled(false);
+  bench(state);
+  rod::geom::SetSimdKernelEnabled(before);
+}
+
+void BM_RodPlace_scalar(benchmark::State& state) {
+  ScalarLeg(state, BM_RodPlace);
+}
+
+void BM_RodPlaceLowerBound_scalar(benchmark::State& state) {
+  ScalarLeg(state, BM_RodPlaceLowerBound);
+}
+
+void BM_RodPlaceMatrixDense_scalar(benchmark::State& state) {
+  ScalarLeg(state, BM_RodPlaceMatrixDense);
+}
+
 void BM_BuildLoadModel(benchmark::State& state) {
   rod::query::GraphGenOptions gen;
   gen.num_input_streams = 5;
@@ -118,6 +143,12 @@ BENCHMARK(BM_RodPlace)->Args({1000, 64, 10})->Args({10000, 256, 10});
 BENCHMARK(BM_RodPlaceMatrixDense)->Args({400, 8, 5})->Args({10000, 256, 10});
 // The §6.1 lower bound (0.01 per stream), small and at place_scale size.
 BENCHMARK(BM_RodPlaceLowerBound)->Args({200, 8, 5})->Args({10000, 256, 10});
+// The place_scale shapes and the small dense one with the scan at width 2.
+BENCHMARK(BM_RodPlace_scalar)->Args({10000, 256, 10});
+BENCHMARK(BM_RodPlaceMatrixDense_scalar)
+    ->Args({400, 8, 5})
+    ->Args({10000, 256, 10});
+BENCHMARK(BM_RodPlaceLowerBound_scalar)->Args({10000, 256, 10});
 BENCHMARK(BM_BuildLoadModel)->Arg(100)->Arg(1000)->Arg(10000);
 
 ROD_MICRO_BENCH_MAIN()

@@ -31,11 +31,16 @@ QueryGraph JoinWorkload(size_t dims, rod::Rng& rng) {
   QueryGraph g;
   std::vector<StreamRef> chain_tails;
   for (size_t k = 0; k < dims; ++k) {
-    const auto in = g.AddInputStream("I" + std::to_string(k));
+    const auto in =
+        g.AddInputStream(std::string("I").append(std::to_string(k)));
     StreamRef prev = StreamRef::Input(in);
     for (int j = 0; j < 3; ++j) {
+      const std::string name = std::string("c")
+                                   .append(std::to_string(k))
+                                   .append("_")
+                                   .append(std::to_string(j));
       prev = StreamRef::Op(*g.AddOperator(
-          {.name = "c" + std::to_string(k) + "_" + std::to_string(j),
+          {.name = name,
            .kind = OperatorKind::kDelay,
            .cost = rng.Uniform(0.5e-3, 2e-3),
            .selectivity = rng.Uniform(0.6, 1.0)},
@@ -53,8 +58,12 @@ QueryGraph JoinWorkload(size_t dims, rod::Rng& rng) {
         {chain_tails[k], chain_tails[k + 1]});
     StreamRef prev = StreamRef::Op(*join);
     for (int j = 0; j < 2; ++j) {
+      const std::string name = std::string("d")
+                                   .append(std::to_string(k))
+                                   .append("_")
+                                   .append(std::to_string(j));
       prev = StreamRef::Op(*g.AddOperator(
-          {.name = "d" + std::to_string(k) + "_" + std::to_string(j),
+          {.name = name,
            .kind = OperatorKind::kDelay,
            .cost = rng.Uniform(0.5e-3, 2e-3),
            .selectivity = rng.Uniform(0.6, 1.0)},

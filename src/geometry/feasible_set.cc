@@ -87,9 +87,10 @@ OrderedRows OrderRows(const Matrix& weights) {
 }
 
 /// Scalar membership loop over samples `[begin, end)` of the row-major
-/// matrix: the bit-exact reference the SIMD path must reproduce. Rows
-/// come from OrderRows.
-size_t CountContainedScalarRange(const OrderedRows& w, const Matrix& samples,
+/// matrix (a Matrix, or a cached set's SampleMatrix): the bit-exact
+/// reference the SIMD path must reproduce. Rows come from OrderRows.
+template <typename Samples>
+size_t CountContainedScalarRange(const OrderedRows& w, const Samples& samples,
                                  size_t begin, size_t end,
                                  std::span<const double> lower_bound,
                                  double scale, double tol, Vector& mapped) {
@@ -127,7 +128,8 @@ size_t CountContainedScalarRange(const OrderedRows& w, const Matrix& samples,
 /// integers reduced in chunk order, so the result is bit-identical for
 /// every `num_threads` (and for the caller-only run below
 /// kMinParallelKernelWork).
-size_t CountContainedImpl(const Matrix& weights, const Matrix& samples,
+template <typename Samples>
+size_t CountContainedImpl(const Matrix& weights, const Samples& samples,
                           size_t num_threads,
                           std::span<const double> lower_bound, double scale,
                           double tol) {
@@ -159,7 +161,7 @@ size_t CountContainedImpl(const Matrix& weights, const SimplexSampleSet& set,
                           std::span<const double> lower_bound, double scale,
                           double tol) {
   static_assert(kKernelGrain % kSimdGroup == 0);
-  const Matrix& samples = set.samples;
+  const SampleMatrix& samples = set.samples;
   if (!SimdKernelEnabled() || set.lanes.empty()) {
     return CountContainedImpl(weights, samples, num_threads, lower_bound,
                               scale, tol);

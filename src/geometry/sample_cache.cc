@@ -215,18 +215,33 @@ void GenerateHaltonRange(const std::vector<HaltonAxis>& axes,
 
 }  // namespace
 
+Matrix SampleMatrix::ToMatrix() const {
+  Matrix out(rows_, cols_);
+  for (size_t s = 0; s < rows_; ++s) {
+    std::copy(Row(s).begin(), Row(s).end(), out.Row(s).begin());
+  }
+  return out;
+}
+
 Matrix GenerateSimplexSamples(const SimplexSampleKey& key) {
-  return GenerateSimplexSampleSet(key).samples;
+  return GenerateSimplexSampleSet(key).samples.ToMatrix();
 }
 
 SimplexSampleSet GenerateSimplexSampleSet(const SimplexSampleKey& key) {
   assert(key.dims > 0 && key.num_samples > 0);
   const size_t d = key.dims;
   SimplexSampleSet set;
-  set.samples = Matrix(key.num_samples, d);
+  // Neither buffer is filled here: the points below are their first
+  // touch, chunk by chunk on the pool for Halton sets.
+  set.samples = SampleMatrix(key.num_samples, d);
   set.lane_stride =
       (key.num_samples + kSimdGroup - 1) / kSimdGroup * kSimdGroup;
-  set.lanes.assign(set.lane_stride * d, 0.0);  // pad lanes stay 0
+  set.lanes.resize(set.lane_stride * d);
+  for (size_t k = 0; k < d; ++k) {
+    for (size_t s = key.num_samples; s < set.lane_stride; ++s) {
+      set.lanes[k * set.lane_stride + s] = 0.0;
+    }
+  }
   const SortingNetwork network = MakeSortingNetwork(d);
   if (key.pseudo_random) {
     // One sequential xoshiro stream: point s takes draws [s*d, (s+1)*d).

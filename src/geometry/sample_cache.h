@@ -11,20 +11,27 @@
 #ifndef ROD_GEOMETRY_SAMPLE_CACHE_H_
 #define ROD_GEOMETRY_SAMPLE_CACHE_H_
 
+#include <cassert>
 #include <cstdint>
 #include <cstdlib>
 #include <deque>
 #include <memory>
 #include <mutex>
 #include <new>
+#include <span>
+#include <type_traits>
 #include <unordered_map>
+#include <utility>
 #include <vector>
 
 #include "common/matrix.h"
 
 namespace rod::geom {
 
-/// Minimal aligned allocator for the SIMD lane storage (C++17 aligned new).
+/// Minimal aligned allocator for the sample set's two buffers (C++17
+/// aligned new). It leaves a value-initialized element uninitialized, so
+/// `resize(n)` does not zero-fill and every page is first touched by the
+/// thread that writes it; `vector(n, value)` and `assign` still fill.
 template <typename T, size_t Alignment>
 struct AlignedAllocator {
   using value_type = T;
@@ -43,6 +50,14 @@ struct AlignedAllocator {
     ::operator delete(p, std::align_val_t(Alignment));
   }
   template <typename U>
+  void construct(U* p) noexcept(std::is_nothrow_default_constructible_v<U>) {
+    ::new (static_cast<void*>(p)) U;
+  }
+  template <typename U, typename... Args>
+  void construct(U* p, Args&&... args) {
+    ::new (static_cast<void*>(p)) U(std::forward<Args>(args)...);
+  }
+  template <typename U>
   bool operator==(const AlignedAllocator<U, Alignment>&) const {
     return true;
   }
@@ -50,6 +65,39 @@ struct AlignedAllocator {
 
 /// 32-byte-aligned double buffer (one AVX2 vector per alignment unit).
 using AlignedLaneBuffer = std::vector<double, AlignedAllocator<double, 32>>;
+
+/// The S x d row-major sample points: the part of Matrix's interface the
+/// membership kernels read, over a buffer that is not zero-filled when it
+/// is allocated (the generator writes every row). `ToMatrix` copies it.
+class SampleMatrix {
+ public:
+  SampleMatrix() = default;
+  SampleMatrix(size_t rows, size_t cols) : rows_(rows), cols_(cols) {
+    data_.resize(rows * cols);
+  }
+
+  size_t rows() const { return rows_; }
+  size_t cols() const { return cols_; }
+  std::span<double> Row(size_t s) {
+    assert(s < rows_);
+    return {data_.data() + s * cols_, cols_};
+  }
+  std::span<const double> Row(size_t s) const {
+    assert(s < rows_);
+    return {data_.data() + s * cols_, cols_};
+  }
+  double operator()(size_t s, size_t k) const {
+    assert(s < rows_ && k < cols_);
+    return data_[s * cols_ + k];
+  }
+
+  Matrix ToMatrix() const;
+
+ private:
+  size_t rows_ = 0;
+  size_t cols_ = 0;
+  AlignedLaneBuffer data_;
+};
 
 /// Identifies one deterministic simplex sample set.
 struct SimplexSampleKey {
@@ -87,9 +135,11 @@ Matrix GenerateSimplexSamples(const SimplexSampleKey& key);
 /// count padded up to a multiple of kSimdGroup so every lane row starts
 /// 32-byte aligned and a 4-wide load never reads past the buffer; pad
 /// columns are zero and never counted (the SIMD kernel only processes full
-/// groups of real samples, the scalar tail covers the rest).
+/// groups of real samples, the scalar tail covers the rest). Neither
+/// buffer is zero-filled when allocated: the generator's chunks first
+/// touch their own rows and lane columns, and it zeroes the pad columns.
 struct SimplexSampleSet {
-  Matrix samples;
+  SampleMatrix samples;
   size_t lane_stride = 0;
   AlignedLaneBuffer lanes;
 

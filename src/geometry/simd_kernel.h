@@ -1,11 +1,14 @@
 // Copyright (c) the ROD reproduction authors.
 //
-// Runtime-dispatched SIMD membership kernel for the feasible-set volume
-// estimate. The AVX2 variant tests four samples per lane group against the
-// W·x <= 1 + tol predicate, accumulating each lane's dot product in the
-// same k-order mul-then-add sequence as the scalar `Dot`, so the verdict
-// per sample — and therefore every count — is bit-identical to the scalar
-// reference path. The build keeps `-ffp-contract=off` globally and the
+// Runtime dispatch of the two AVX2 kernels: the membership kernel of the
+// feasible-set volume estimate, declared here, and the width-4 pass of
+// ROD's candidate scan (placement/rod_scan.h), which falls back to width 2.
+// One switch, SimdKernelEnabled(), picks both. The AVX2 membership
+// variant tests four samples per lane group against the W·x <= 1 + tol
+// predicate, accumulating each lane's dot product in the same k-order
+// mul-then-add sequence as the scalar `Dot`, so the verdict per sample —
+// and therefore every count — is bit-identical to the scalar reference
+// path. The build keeps `-ffp-contract=off` globally and the
 // kernel uses explicit mul/add intrinsics (never fused multiply-add), so
 // neither path silently contracts to FMA even when the whole tree is
 // compiled with `-mavx2 -mfma`. Both paths skip only the rows that the
@@ -29,14 +32,17 @@ inline constexpr size_t kSimdGroup = 4;
 /// builds) AND the running CPU reports AVX2 support.
 bool SimdKernelAvailable();
 
-/// True iff the AVX2 kernel is available and enabled: `SimdKernelAvailable`
-/// minus the `ROD_DISABLE_SIMD` environment variable (any non-empty value,
-/// read once at first query) and minus `SetSimdKernelEnabled(false)`.
+/// True iff the AVX2 kernels are available and enabled: `SimdKernelAvailable`
+/// and a process-wide switch, which starts off when the `ROD_DISABLE_SIMD`
+/// environment variable is set (any non-empty value, read once at first
+/// query) and on otherwise. Picks the membership kernel and the width of
+/// ROD's candidate scan.
 bool SimdKernelEnabled();
 
-/// Process-wide override for tests and benches: force the scalar reference
-/// path (`false`) or re-allow the vector path (`true`; still gated on
-/// `SimdKernelAvailable` and `ROD_DISABLE_SIMD`).
+/// Process-wide override of that switch for tests and benches: force the
+/// scalar membership path and the width-2 scan (`false`), or allow the
+/// vector paths (`true`; still gated on `SimdKernelAvailable`, but it
+/// overrides `ROD_DISABLE_SIMD`).
 void SetSimdKernelEnabled(bool enabled);
 
 /// Name of the membership-kernel ISA that `SimdKernelEnabled` currently

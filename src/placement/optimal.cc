@@ -37,7 +37,7 @@ Result<OptimalResult> OptimalPlace(const query::LoadModel& model,
   // over, read row by row.
   const auto sample_set = geom::SimplexSampleCache::Global().Get(
       geom::VolumeSampleKey(dims, options.volume));
-  const Matrix& samples = sample_set->samples;
+  const geom::SampleMatrix& samples = sample_set->samples;
 
   // Precompute normalization so per-plan weight evaluation is one pass:
   // w_ik = node_coeff(i,k) * inv_norm(i,k), inv_norm = 1/(l_k * C_i/C_T).

@@ -4,11 +4,12 @@
 #include <cassert>
 #include <cmath>
 #include <limits>
-#include <numeric>
 #include <string>
 
 #include "common/random.h"
+#include "geometry/simd_kernel.h"
 #include "placement/delta_volume.h"
+#include "placement/rod_scan.h"
 
 namespace rod::place {
 
@@ -17,57 +18,29 @@ namespace {
 constexpr double kClassITolerance = 1e-9;
 constexpr double kInfinity = std::numeric_limits<double>::infinity();
 constexpr double kUnitRoundoff = 0x1p-53;
-/// Outside these magnitudes a sum of squares may have underflowed or may
-/// overflow, so the rounding margin below does not hold and the node is
-/// always scored exactly.
-constexpr double kTinySum = 0x1p-900;
-constexpr double kHugeSum = 0x1p900;
+/// Relative half-width of the band around the Class I limit inside which
+/// the scan leaves the decision to the exact weight (DESIGN §9.6).
+constexpr double kClassIBand = 0x1p-40;
+/// The table's rounding bounds need every total l_k and every capacity
+/// share inside these magnitudes (DESIGN §9.6). In a run with one outside
+/// them the table is NaN, so every Class I flag is uncertain and every
+/// node is scored exactly.
+constexpr double kTableMin = 0x1p-400;
+constexpr double kTableMax = 0x1p400;
 
-/// Candidate weights w = (l + c) / total / share of one axis the unit
-/// loads, folded into each node's largest weight and sum of squares.
-/// Inputs and outputs are distinct arrays, which lets the loop vectorize.
-void AddLoadedAxis(size_t n, double c, double total,
-                   const double* __restrict l, const double* __restrict share,
-                   const double* __restrict w_old, double* __restrict w,
-                   const double* __restrict max_in,
-                   const double* __restrict sum_sq_in,
-                   double* __restrict max_out, double* __restrict sum_sq_out) {
-  for (size_t i = 0; i < n; ++i) {
-    w[i] = (l[i] + c) / total / share[i];
-    max_out[i] = std::max(max_in[i], w[i]);
-    sum_sq_out[i] = sum_sq_in[i] + (w[i] * w[i] - w_old[i] * w_old[i]);
-  }
-}
+/// The width-2 or width-4 passes of rod_scan.h, picked once per run.
+struct ScanKernels {
+  ScanFloors (*pass)(const ScanArgs&);
+  size_t (*reach)(size_t, const int64_t*, const double*, double, size_t*);
+};
 
-/// For each node, an interval [lo, hi] that holds p * |p| for the plane
-/// distance p = (1 - dot) / sqrt(sum_sq) that PlaneDistanceFrom computes
-/// from the exact candidate row, given the approximate `sum_sq` and `dot`
-/// and the exact largest candidate weight. With T = |1 - dot| + B, where
-/// B = max_weight * sum_k |b_k| bounds sum_k |w_k b_k|, the interval is
-/// key +- margin_coeff * T^2 / sum_sq; DESIGN §9.6 derives margin_coeff,
-/// twice the first-order rounding bound. A node whose sums are out of
-/// range gets (-inf, inf), so it is always scored exactly. Without a lower
-/// bound `dot` is 0, so 1 - dot is exactly 1 and `lb_abs_sum` 0. The
-/// pointers do not alias, which lets the loop vectorize.
-void PlaneDistanceKeys(size_t n, double margin_coeff, double lb_abs_sum,
-                       const double* __restrict max_weight,
-                       const double* __restrict sum_sq,
-                       const double* __restrict dot, double* __restrict lo,
-                       double* __restrict hi) {
-  for (size_t i = 0; i < n; ++i) {
-    const double num = 1.0 - dot[i];
-    const double abs_num = std::abs(num);
-    const double scale = abs_num + max_weight[i] * lb_abs_sum;
-    const double inv_sq = 1.0 / sum_sq[i];
-    const double key = num * abs_num * inv_sq;
-    const double margin = margin_coeff * scale * scale * inv_sq;
-    const double key_lo = key - margin, key_hi = key + margin;
-    // The last test fails when the key or the margin overflowed.
-    const bool in_range = (sum_sq[i] >= kTinySum) & (sum_sq[i] <= kHugeSum) &
-                          (key_hi - key_lo <= kHugeSum);
-    lo[i] = in_range ? key_lo : -kInfinity;
-    hi[i] = in_range ? key_hi : kInfinity;
-  }
+const ScanKernels& SelectScanKernels() {
+  static constexpr ScanKernels kWidth2{ScanPass<2>, ScanReach<2>};
+#ifdef ROD_HAVE_AVX2_KERNEL
+  static constexpr ScanKernels kWidth4{ScanPassAvx2, ScanReachAvx2};
+  if (geom::SimdKernelEnabled()) return kWidth4;
+#endif
+  return kWidth2;
 }
 
 }  // namespace
@@ -117,6 +90,8 @@ Result<Placement> RodPlaceMatrix(
         "kMinCrossArcs tie-break requires the dataflow neighbor lists");
   }
 
+  // The scan's per-node rows are padded to `stride` lanes (rod_scan.h).
+  const size_t stride = (n + kScanPad - 1) / kScanPad * kScanPad;
   const double total_capacity = system.TotalCapacity();
   Vector cap_share(n);
   for (size_t i = 0; i < n; ++i) {
@@ -144,13 +119,13 @@ Result<Placement> RodPlaceMatrix(
   // --- Phase 2: greedy assignment. Node state is axis-major: row k of
   // `node_coeffs` holds every node's load coefficient on variable k, and
   // row k of `node_weight` caches w_ik = l_ik / l_k / (C_i/C_T). Each
-  // node also keeps summaries of its weight row: the largest weight, the
-  // sum of squares and the dot product with the lower bound, each summed
-  // in axis order. All of them are rewritten only for the node that
-  // receives a unit. ---
+  // node also keeps summaries of its weight row: the largest weight M_i,
+  // the sum of squares Q_i and the dot product with the lower bound, each
+  // summed in axis order, and r_ik = Q_i - w_ik^2 for every axis. All of
+  // them are rewritten only for the node that receives a unit. ---
   Rng rng(options.seed);
-  Matrix node_coeffs(dims, n);
-  Matrix node_weight(dims, n);
+  Matrix node_coeffs(dims, stride);
+  Matrix node_weight(dims, stride);
   std::vector<size_t> assignment(m, 0);
   std::vector<bool> assigned(m, false);
   if (fixed_assignment != nullptr) {
@@ -168,11 +143,33 @@ Result<Placement> RodPlaceMatrix(
   const bool has_lb = !normalized_lower_bound.empty();
   double lb_abs_sum = 0.0;
   for (double b : normalized_lower_bound) lb_abs_sum += std::abs(b);
-  // 2 (3 eps + 8 u) with eps = (3D + 3) u, the rounding of the sums over
-  // D axes in both the exact and the summary form (DESIGN §9.6).
-  const double margin_coeff =
-      static_cast<double>(18 * dims + 34) * kUnitRoundoff;
-  Vector row_max(n), row_sum_sq(n), row_lb_dot(n);  // node row summaries
+
+  // A table fixed for the run (DESIGN §9.6): f_ik = (1/l_k)(1/share_i), so
+  // the scan approximates a candidate weight with one multiply.
+  bool tables_in_range = true;
+  for (size_t k = 0; k < dims; ++k) {
+    tables_in_range &=
+        total_coeffs[k] >= kTableMin && total_coeffs[k] <= kTableMax;
+  }
+  for (size_t i = 0; i < n; ++i) tables_in_range &= cap_share[i] >= kTableMin;
+  const double class_one_limit = 1.0 + kClassITolerance;
+  Vector inv_share(n);
+  for (size_t i = 0; i < n; ++i) inv_share[i] = 1.0 / cap_share[i];
+  Matrix inv_weight(dims, stride);
+  for (size_t k = 0; k < dims; ++k) {
+    const double inv_total = 1.0 / total_coeffs[k];
+    for (size_t i = 0; i < n; ++i) {
+      inv_weight(k, i) = tables_in_range
+                             ? inv_total * inv_share[i]
+                             : std::numeric_limits<double>::quiet_NaN();
+    }
+  }
+
+  // Pad lanes keep M = +inf and NaN sums (rod_scan.h).
+  constexpr double kNaN = std::numeric_limits<double>::quiet_NaN();
+  Vector row_max(stride, kInfinity), row_sum_sq(stride, kNaN);
+  Vector row_lb_dot(stride, 0.0);
+  Matrix rest_sq(dims, stride, kNaN);
   auto summarize = [&](size_t i) {
     double max_w = 0.0, sum_sq = 0.0, lb_dot = 0.0;
     for (size_t k = 0; k < dims; ++k) {
@@ -184,6 +181,9 @@ Result<Placement> RodPlaceMatrix(
     row_max[i] = max_w;
     row_sum_sq[i] = sum_sq;
     row_lb_dot[i] = lb_dot;
+    for (size_t k = 0; k < dims; ++k) {
+      rest_sq(k, i) = sum_sq - node_weight(k, i) * node_weight(k, i);
+    }
   };
   for (size_t i = 0; i < n; ++i) {
     for (size_t k = 0; k < dims; ++k) {
@@ -196,8 +196,7 @@ Result<Placement> RodPlaceMatrix(
   // whole run, seeded with any pinned units in unit order.
   std::unique_ptr<DeltaVolumeContext> volume_ctx;
   if (options.mode == RodOptions::Mode::kVolumeGreedy) {
-    Vector inv_cap(n);
-    for (size_t i = 0; i < n; ++i) inv_cap[i] = 1.0 / cap_share[i];
+    Vector inv_cap(inv_share);
     auto set = geom::SimplexSampleCache::Global().Get(
         geom::VolumeSampleKey(dims, options.volume));
     volume_ctx = std::make_unique<DeltaVolumeContext>(
@@ -213,69 +212,65 @@ Result<Placement> RodPlaceMatrix(
     }
   }
 
-  // Candidate metrics of placing the current unit on each node: the
-  // largest weight (exact) and, for the plane distance p, an interval
-  // [pd_lo, pd_hi] that holds p * |p| (see DESIGN §9.6).
-  Vector max_buf[2] = {Vector(n), Vector(n)};
-  Vector sum_sq_buf[2] = {Vector(n), Vector(n)};
-  Vector lb_dot_buf[2] = {Vector(has_lb ? n : 0), Vector(has_lb ? n : 0)};
-  Vector pd_lo(n), pd_hi(n);
-  std::vector<size_t> loaded_buf(dims);  // axes the current unit loads
-  Vector loaded_weight(dims * n);  // candidate weights on them, axis-major
-  std::vector<size_t> class_one_buf(n), ties;
-  std::vector<size_t> all_nodes(n);
-  std::iota(all_nodes.begin(), all_nodes.end(), 0);
+  // The scan's per-unit inputs (the loaded axes and their constants) and
+  // per-node outputs: the ranking interval [lo, hi] and the Class I flag.
+  const ScanKernels& kernels = SelectScanKernels();
+  std::vector<size_t> loaded_buf(dims);
+  Vector coeff_buf(dims), lb_buf(dims);
+  Vector lo(stride), hi(stride);
+  std::vector<int64_t> cls(stride), members(stride), all_nodes(stride, 0);
+  std::fill(all_nodes.begin(), all_nodes.begin() + n, -1);
+  std::vector<size_t> class_one_nodes, colocated(n, 0);
   std::vector<size_t> counts(options.mode == RodOptions::Mode::kVolumeGreedy
                                  ? n
                                  : 0);
+  ScanArgs args;
+  args.stride = stride;
+  args.loaded = loaded_buf.data();
+  args.coeff = coeff_buf.data();
+  args.lb = has_lb ? lb_buf.data() : nullptr;
+  auto table = [&](Matrix& t) { return dims > 0 ? &t(0, 0) : nullptr; };
+  args.node_coeffs = table(node_coeffs);
+  args.inv_weight = table(inv_weight);
+  args.weight = table(node_weight);
+  args.rest_sq = table(rest_sq);
+  args.row_sum_sq = row_sum_sq.data();
+  args.row_max = row_max.data();
+  args.row_lb_dot = row_lb_dot.data();
+  args.class_one_limit = class_one_limit;
+  args.sure_in_limit = class_one_limit * (1.0 - kClassIBand);
+  args.sure_out_limit = class_one_limit * (1.0 + kClassIBand);
+  // DESIGN §9.6 derives both from eps' = (3D + 18) u, the first-order bound
+  // on how far a sum or a dot product of the tables may stray from the
+  // exact row's: a sum's interval is s (1 +- eps) with eps = 2 (eps' + 6 u),
+  // twice what excluding a node needs, and a lower-bound key's margin
+  // coefficient is 2 (3 eps' + 8 u).
+  args.sum_eps = static_cast<double>(6 * dims + 48) * kUnitRoundoff;
+  args.lb_margin = static_cast<double>(18 * dims + 124) * kUnitRoundoff;
+  args.lb_abs_sum = lb_abs_sum;
+  args.lo = lo.data();
+  args.hi = hi.data();
+  args.cls = cls.data();
 
   for (size_t j : order) {
     size_t num_loaded = 0;
     for (size_t k = 0; k < dims; ++k) {
+      const double c = op_coeffs(j, k);
       loaded_buf[num_loaded] = k;
-      num_loaded += op_coeffs(j, k) != 0.0;
+      coeff_buf[num_loaded] = c;
+      if (has_lb) lb_buf[num_loaded] = normalized_lower_bound[k];
+      num_loaded += c != 0.0;
     }
-    const std::span<const size_t> loaded(loaded_buf.data(), num_loaded);
-    // Update the row summaries by the loaded axes only, alternating
-    // between two buffers. On an axis the unit does not load,
-    // (l_ik + 0) / l_k / share_i is the cached weight; on the others the
-    // weight is divided as before. The maximum stays exact because a
-    // weight can only grow; the two sums are approximate.
-    const double* max_weight = row_max.data();
-    const double* sum_sq = row_sum_sq.data();
-    const double* lb_dot = row_lb_dot.data();
-    for (size_t q = 0; q < loaded.size(); ++q) {
-      const size_t k = loaded[q];
-      const double* w_old = &node_weight(k, 0);
-      double* w = &loaded_weight[q * n];
-      Vector& max_out = max_buf[q % 2];
-      Vector& sum_sq_out = sum_sq_buf[q % 2];
-      AddLoadedAxis(n, op_coeffs(j, k), total_coeffs[k], &node_coeffs(k, 0),
-                    cap_share.data(), w_old, w, max_weight, sum_sq,
-                    max_out.data(), sum_sq_out.data());
-      max_weight = max_out.data();
-      sum_sq = sum_sq_out.data();
-      if (has_lb) {
-        const double b = normalized_lower_bound[k];
-        Vector& dot_out = lb_dot_buf[q % 2];
-        for (size_t i = 0; i < n; ++i) {
-          dot_out[i] = lb_dot[i] + (w[i] - w_old[i]) * b;
-        }
-        lb_dot = dot_out.data();
-      }
-    }
-    PlaneDistanceKeys(n, margin_coeff, lb_abs_sum, max_weight, sum_sq, lb_dot,
-                      pd_lo.data(), pd_hi.data());
-    // Class I means no candidate weight above 1 + tolerance. The list is
-    // filled without a branch: every node is written, and kept if it is.
-    size_t num_class_one = 0;
-    for (size_t i = 0; i < n; ++i) {
-      class_one_buf[num_class_one] = i;
-      num_class_one += !(max_weight[i] > 1.0 + kClassITolerance);
-    }
-    const std::span<const size_t> class_one_nodes(class_one_buf.data(),
-                                                  num_class_one);
+    args.num_loaded = num_loaded;
+    const ScanFloors floors = kernels.pass(args);
 
+    // The exact weight of node i's candidate row on loaded axis q, as the
+    // row-major scan divides it.
+    auto exact_weight = [&](size_t q, size_t i) {
+      const size_t k = loaded_buf[q];
+      return (node_coeffs(k, i) + coeff_buf[q]) / total_coeffs[k] /
+             cap_share[i];
+    };
     // PlaneDistance / PlaneDistanceFrom of node i's candidate row, summed
     // in axis order as Norm2 and Dot do.
     auto plane_distance = [&](size_t i) {
@@ -283,7 +278,7 @@ Result<Placement> RodPlaceMatrix(
       size_t q = 0;
       for (size_t k = 0; k < dims; ++k) {
         double w = node_weight(k, i);
-        if (q < loaded.size() && loaded[q] == k) w = loaded_weight[q++ * n + i];
+        if (q < num_loaded && loaded_buf[q] == k) w = exact_weight(q++, i);
         sq += w * w;
         if (has_lb) dot += w * normalized_lower_bound[k];
       }
@@ -291,28 +286,33 @@ Result<Placement> RodPlaceMatrix(
       const double norm = std::sqrt(sq);
       return norm == 0.0 ? kInfinity : (1.0 - dot) / norm;
     };
-    // The first node of `nodes` with the largest plane distance, as a scan
-    // that starts from nodes[0] and takes a strictly larger value would
-    // pick it (so a NaN at nodes[0] wins, and a NaN elsewhere never does).
-    // Only nodes whose interval reaches the best lower end can be it, and
-    // a node that is alone there needs no exact score.
-    auto argmax_pd = [&](std::span<const size_t> nodes) {
-      assert(!nodes.empty());
-      double floor = -kInfinity;
-      for (size_t i : nodes) floor = std::max(floor, pd_lo[i]);
-      size_t reaching = 0, last = nodes[0];
-      for (size_t i : nodes) {
-        const bool reaches = pd_hi[i] >= floor;
-        reaching += reaches;
-        last = reaches ? i : last;
+    // The largest weight of node i's candidate row.
+    auto candidate_max = [&](size_t i) {
+      double max_w = row_max[i];
+      for (size_t q = 0; q < num_loaded; ++q) {
+        max_w = std::max(max_w, exact_weight(q, i));
       }
-      if (reaching == 1) return last;
+      return max_w;
+    };
+    // The first member node with the largest plane distance, as a scan
+    // that starts from the first member and takes a strictly larger value
+    // would pick it (so a NaN there wins, and a NaN elsewhere never does).
+    // `floor` is the largest lower end over the members. Only members
+    // whose interval reaches it can be that node, and a node that is alone
+    // there needs no exact score.
+    auto argmax_pd = [&](const int64_t* member, double floor) {
+      size_t last = 0;
+      if (kernels.reach(stride, member, hi.data(), floor, &last) == 1) {
+        return last;
+      }
+      size_t head = 0;
+      while (member[head] == 0) ++head;
       size_t best = n;
       double best_pd = 0.0;
-      for (size_t i : nodes) {
-        if (pd_hi[i] < floor) continue;
+      for (size_t i = head; i < n; ++i) {
+        if (member[i] == 0 || hi[i] < floor) continue;
         const double pd = plane_distance(i);
-        if (best == n ? i == nodes[0] || !std::isnan(pd) : pd > best_pd) {
+        if (best == n ? i == head || !std::isnan(pd) : pd > best_pd) {
           best = i;
           best_pd = pd;
         }
@@ -334,66 +334,107 @@ Result<Placement> RodPlaceMatrix(
         }
         const size_t best_count =
             *std::max_element(counts.begin(), counts.end());
-        ties.clear();
+        double floor = -kInfinity;
         for (size_t i = 0; i < n; ++i) {
-          if (counts[i] == best_count) ties.push_back(i);
+          members[i] = counts[i] == best_count ? -1 : 0;
+          if (members[i] != 0) floor = std::max(floor, lo[i]);
         }
-        selected = argmax_pd(ties);
+        selected = argmax_pd(members.data(), floor);
         break;
       }
       case RodOptions::Mode::kMmpdOnly:
-        selected = argmax_pd(all_nodes);
+        selected = argmax_pd(all_nodes.data(), floors.all);
         break;
       case RodOptions::Mode::kMmadOnly: {
         // Pure axis balancing: minimize the worst per-axis weight, i.e.
         // keep every axis intercept 1/w_ik as large as possible.
-        selected = 0;
+        double best_max = candidate_max(0);
         for (size_t i = 1; i < n; ++i) {
-          if (max_weight[i] < max_weight[selected]) selected = i;
+          const double max_w = candidate_max(i);
+          if (max_w < best_max) {
+            selected = i;
+            best_max = max_w;
+          }
         }
         break;
       }
       case RodOptions::Mode::kCombined: {
-        if (!class_one_nodes.empty()) {
-          switch (options.tie_break) {
-            case RodOptions::ClassITieBreak::kMaxPlaneDistance:
-              selected = argmax_pd(class_one_nodes);
-              break;
-            case RodOptions::ClassITieBreak::kRandom:
-              selected = class_one_nodes[rng.NextIndex(class_one_nodes.size())];
-              break;
-            case RodOptions::ClassITieBreak::kFirst:
-              selected = class_one_nodes[0];
-              break;
-            case RodOptions::ClassITieBreak::kMinMaxWeight:
-              selected = class_one_nodes[0];
-              for (size_t i : class_one_nodes) {
-                if (max_weight[i] < max_weight[selected]) selected = i;
-              }
-              break;
-            case RodOptions::ClassITieBreak::kMinCrossArcs: {
-              // Count already-placed dataflow neighbors of j per node; the
-              // node with the most co-located neighbors creates the fewest
-              // new inter-node arcs. Ties fall back to plane distance.
-              std::vector<size_t> colocated(n, 0);
-              for (size_t nb : (*unit_neighbors)[j]) {
-                if (nb < m && assigned[nb]) ++colocated[assignment[nb]];
-              }
-              size_t most = 0;
-              for (size_t i : class_one_nodes) {
-                most = std::max(most, colocated[i]);
-              }
-              ties.clear();
-              for (size_t i : class_one_nodes) {
-                if (colocated[i] == most) ties.push_back(i);
-              }
-              selected = argmax_pd(ties);
-              break;
-            }
+        // Class I means no candidate weight above 1 + tolerance. The scan
+        // decided it for every node outside the band around the limit; the
+        // exact weights decide the rest.
+        size_t num_class_one = floors.num_class_one;
+        double class_one_floor = floors.class_one;
+        for (size_t i = 0; floors.num_uncertain > 0 && i < n; ++i) {
+          if (cls[i] != 1) continue;
+          bool class_one = true;
+          for (size_t q = 0; q < num_loaded; ++q) {
+            class_one &= !(exact_weight(q, i) > class_one_limit);
           }
-        } else {
+          cls[i] = class_one ? -1 : 0;
+          if (!class_one) continue;
+          ++num_class_one;
+          class_one_floor = std::max(class_one_floor, lo[i]);
+        }
+        if (num_class_one == 0) {
           // Class II step: MMPD — maximize the candidate plane distance.
-          selected = argmax_pd(all_nodes);
+          selected = argmax_pd(all_nodes.data(), floors.all);
+          break;
+        }
+        if (options.tie_break ==
+            RodOptions::ClassITieBreak::kMaxPlaneDistance) {
+          selected = argmax_pd(cls.data(), class_one_floor);
+          break;
+        }
+        class_one_nodes.clear();
+        for (size_t i = 0; i < n; ++i) {
+          if (cls[i] != 0) class_one_nodes.push_back(i);
+        }
+        switch (options.tie_break) {
+          case RodOptions::ClassITieBreak::kMaxPlaneDistance:
+            break;  // handled above
+          case RodOptions::ClassITieBreak::kRandom:
+            selected = class_one_nodes[rng.NextIndex(class_one_nodes.size())];
+            break;
+          case RodOptions::ClassITieBreak::kFirst:
+            selected = class_one_nodes[0];
+            break;
+          case RodOptions::ClassITieBreak::kMinMaxWeight: {
+            selected = class_one_nodes[0];
+            double best_max = candidate_max(selected);
+            for (size_t i : class_one_nodes) {
+              const double max_w = candidate_max(i);
+              if (max_w < best_max) {
+                selected = i;
+                best_max = max_w;
+              }
+            }
+            break;
+          }
+          case RodOptions::ClassITieBreak::kMinCrossArcs: {
+            // Count already-placed dataflow neighbors of j per node; the
+            // node with the most co-located neighbors creates the fewest
+            // new inter-node arcs. Ties fall back to plane distance.
+            const std::vector<size_t>& neighbors = (*unit_neighbors)[j];
+            for (size_t nb : neighbors) {
+              if (nb < m && assigned[nb]) ++colocated[assignment[nb]];
+            }
+            size_t most = 0;
+            for (size_t i : class_one_nodes) {
+              most = std::max(most, colocated[i]);
+            }
+            std::fill(members.begin(), members.end(), 0);
+            double floor = -kInfinity;
+            for (size_t i : class_one_nodes) {
+              if (colocated[i] != most) continue;
+              members[i] = -1;
+              floor = std::max(floor, lo[i]);
+            }
+            selected = argmax_pd(members.data(), floor);
+            for (size_t nb : neighbors) {
+              if (nb < m && assigned[nb]) colocated[assignment[nb]] = 0;
+            }
+            break;
+          }
         }
         break;
       }
@@ -402,11 +443,12 @@ Result<Placement> RodPlaceMatrix(
     assignment[j] = selected;
     assigned[j] = true;
     if (volume_ctx != nullptr) volume_ctx->Commit(selected);
-    // The new weights of the selected node are its candidate weights.
-    for (size_t q = 0; q < loaded.size(); ++q) {
-      const size_t k = loaded[q];
-      node_coeffs(k, selected) += op_coeffs(j, k);
-      node_weight(k, selected) = loaded_weight[q * n + selected];
+    // The new weights of the selected node are its exact candidate
+    // weights.
+    for (size_t q = 0; q < num_loaded; ++q) {
+      const size_t k = loaded_buf[q];
+      node_weight(k, selected) = exact_weight(q, selected);
+      node_coeffs(k, selected) += coeff_buf[q];
     }
     summarize(selected);
   }

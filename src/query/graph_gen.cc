@@ -32,7 +32,11 @@ QueryGraph GenerateRandomTrees(const GraphGenOptions& options, Rng& rng) {
 
   QueryGraph g;
   for (size_t k = 0; k < options.num_input_streams; ++k) {
-    const InputStreamId input = g.AddInputStream("I" + std::to_string(k));
+    // Names are appended piece by piece: gcc 12 at -O3 warns -Wrestrict on
+    // the inlined temporaries of "I" + std::to_string(k).
+    std::string input_name = "I";
+    input_name += std::to_string(k);
+    const InputStreamId input = g.AddInputStream(input_name);
 
     // Grow one tree rooted at this input, breadth-first: pop a frontier
     // stream, attach U{1..3} children, push the children, until the tree
@@ -47,8 +51,10 @@ QueryGraph GenerateRandomTrees(const GraphGenOptions& options, Rng& rng) {
       const int children = static_cast<int>(
           rng.UniformInt(options.min_children, options.max_children));
       for (int c = 0; c < children && created < options.ops_per_tree; ++c) {
-        const std::string name =
-            "t" + std::to_string(k) + "_o" + std::to_string(created);
+        std::string name = "t";
+        name += std::to_string(k);
+        name += "_o";
+        name += std::to_string(created);
         auto id = g.AddOperator(RandomDelaySpec(options, rng, name), {parent});
         ROD_CHECK_OK(id.status());
         frontier.push_back(StreamRef::Op(*id));

@@ -24,7 +24,8 @@ QueryGraph UniformChains(size_t m, double base_cost = 1.0) {
   QueryGraph g;
   const InputStreamId in = g.AddInputStream("I");
   for (size_t j = 0; j < m; ++j) {
-    EXPECT_TRUE(g.AddOperator({.name = "o" + std::to_string(j),
+    const std::string name = std::string("o").append(std::to_string(j));
+    EXPECT_TRUE(g.AddOperator({.name = name,
                                .kind = OperatorKind::kMap,
                                .cost = base_cost * (1.0 + 0.01 * j)},
                               {StreamRef::Input(in)})
@@ -106,11 +107,13 @@ TEST(ConnectedTest, KeepsChainsLocal) {
   StreamRef prev1 = StreamRef::Input(i1);
   for (int j = 0; j < 10; ++j) {
     prev0 = StreamRef::Op(*g.AddOperator(
-        {.name = "a" + std::to_string(j), .kind = OperatorKind::kMap,
+        {.name = std::string("a").append(std::to_string(j)),
+         .kind = OperatorKind::kMap,
          .cost = 1.0},
         {prev0}));
     prev1 = StreamRef::Op(*g.AddOperator(
-        {.name = "b" + std::to_string(j), .kind = OperatorKind::kMap,
+        {.name = std::string("b").append(std::to_string(j)),
+         .kind = OperatorKind::kMap,
          .cost = 1.0},
         {prev1}));
   }

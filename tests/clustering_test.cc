@@ -134,11 +134,13 @@ TEST(ClusterSweepTest, PicksCommAwareBestPlan) {
   StreamRef prev1 = StreamRef::Input(i1);
   for (int j = 0; j < 6; ++j) {
     prev0 = StreamRef::Op(*g.AddOperator(
-        {.name = "a" + std::to_string(j), .kind = OperatorKind::kMap,
+        {.name = std::string("a").append(std::to_string(j)),
+         .kind = OperatorKind::kMap,
          .cost = 1.0},
         {prev0}, {3.0}));
     prev1 = StreamRef::Op(*g.AddOperator(
-        {.name = "b" + std::to_string(j), .kind = OperatorKind::kMap,
+        {.name = std::string("b").append(std::to_string(j)),
+         .kind = OperatorKind::kMap,
          .cost = 1.0},
         {prev1}, {3.0}));
   }

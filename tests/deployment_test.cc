@@ -95,7 +95,8 @@ TEST(DeploymentTest, FanOutCompilesOneRoutePerConsumer) {
                             .cost = 1e-3},
                            {StreamRef::Input(in)});
   for (int c = 0; c < 3; ++c) {
-    ASSERT_TRUE(g.AddOperator({.name = "c" + std::to_string(c),
+    const std::string name = std::string("c").append(std::to_string(c));
+    ASSERT_TRUE(g.AddOperator({.name = name,
                                .kind = OperatorKind::kMap, .cost = 1e-3},
                               {StreamRef::Op(*src)})
                     .ok());

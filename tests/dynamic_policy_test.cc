@@ -29,11 +29,13 @@ struct FourOpFixture {
     const InputStreamId i0 = g.AddInputStream("I0");
     const InputStreamId i1 = g.AddInputStream("I1");
     for (int rep = 0; rep < 2; ++rep) {
-      EXPECT_TRUE(g.AddOperator({.name = "a" + std::to_string(rep),
+      const std::string a_name = std::string("a").append(std::to_string(rep));
+      EXPECT_TRUE(g.AddOperator({.name = a_name,
                                  .kind = OperatorKind::kMap, .cost = 1e-3},
                                 {StreamRef::Input(i0)})
                       .ok());
-      EXPECT_TRUE(g.AddOperator({.name = "b" + std::to_string(rep),
+      const std::string b_name = std::string("b").append(std::to_string(rep));
+      EXPECT_TRUE(g.AddOperator({.name = b_name,
                                  .kind = OperatorKind::kMap, .cost = 1e-3},
                                 {StreamRef::Input(i1)})
                       .ok());

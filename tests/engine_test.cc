@@ -103,7 +103,8 @@ TEST(EngineTest, PipelineLatencyAccumulates) {
   StreamRef prev = StreamRef::Input(in);
   for (int j = 0; j < 3; ++j) {
     prev = StreamRef::Op(*g.AddOperator(
-        {.name = "s" + std::to_string(j), .kind = OperatorKind::kMap,
+        {.name = std::string("s").append(std::to_string(j)),
+         .kind = OperatorKind::kMap,
          .cost = 1e-3},
         {prev}));
   }

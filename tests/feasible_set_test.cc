@@ -310,8 +310,9 @@ uint64_t CheckCountsAcrossThreadCounts(const FeasibleSet& fs,
   const double ratio = fs.RatioToIdeal(options);
   const double above = *fs.RatioToIdealAbove(lower, options);
   const Matrix samples =
-      SimplexSampleCache::Global().Get(VolumeSampleKey(fs.dims(), options))
-          ->samples;
+      SimplexSampleCache::Global()
+          .Get(VolumeSampleKey(fs.dims(), options))
+          ->samples.ToMatrix();
   const size_t count = fs.CountContained(samples);
   EXPECT_GT(ratio, 0.0);
   EXPECT_LT(ratio, 1.0);

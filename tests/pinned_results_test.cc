@@ -137,13 +137,16 @@ TEST(PinnedResultsTest, SupervisedCrash) {
   // percentiles and the incident accounting.
   QueryGraph g;
   for (int k = 0; k < 3; ++k) {
-    const InputStreamId in = g.AddInputStream("I" + std::to_string(k));
-    auto f = g.AddOperator({.name = "f" + std::to_string(k),
+    const InputStreamId in =
+        g.AddInputStream(std::string("I").append(std::to_string(k)));
+    const std::string f_name = std::string("f").append(std::to_string(k));
+    auto f = g.AddOperator({.name = f_name,
                             .kind = OperatorKind::kFilter, .cost = 5e-4,
                             .selectivity = 0.8},
                            {StreamRef::Input(in)});
     ASSERT_TRUE(f.ok());
-    ASSERT_TRUE(g.AddOperator({.name = "m" + std::to_string(k),
+    const std::string m_name = std::string("m").append(std::to_string(k));
+    ASSERT_TRUE(g.AddOperator({.name = m_name,
                                .kind = OperatorKind::kMap, .cost = 6e-4,
                                .selectivity = 1.0},
                               {StreamRef::Op(*f)})

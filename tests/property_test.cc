@@ -253,13 +253,13 @@ TEST_P(JoinSweepTest, CoefficientLoadsMatchDirectLoads) {
   const int depth = 1 + static_cast<int>(rng.NextIndex(3));
   for (int j = 0; j < depth; ++j) {
     left = query::StreamRef::Op(*g.AddOperator(
-        {.name = "l" + std::to_string(j),
+        {.name = std::string("l").append(std::to_string(j)),
          .kind = query::OperatorKind::kFilter,
          .cost = rng.Uniform(0.5, 2.0),
          .selectivity = rng.Uniform(0.3, 1.0)},
         {left}));
     right = query::StreamRef::Op(*g.AddOperator(
-        {.name = "r" + std::to_string(j),
+        {.name = std::string("r").append(std::to_string(j)),
          .kind = query::OperatorKind::kFilter,
          .cost = rng.Uniform(0.5, 2.0),
          .selectivity = rng.Uniform(0.3, 1.0)},

@@ -57,7 +57,8 @@ TEST(IncrementalRodTest, SeededLoadInfluencesChoices) {
   QueryGraph g;
   const auto in = g.AddInputStream("I");
   for (int rep = 0; rep < 2; ++rep) {
-    ASSERT_TRUE(g.AddOperator({.name = "o" + std::to_string(rep),
+    const std::string name = std::string("o").append(std::to_string(rep));
+    ASSERT_TRUE(g.AddOperator({.name = name,
                                .kind = query::OperatorKind::kMap,
                                .cost = 1.0},
                               {query::StreamRef::Input(in)})

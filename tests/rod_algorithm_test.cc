@@ -74,11 +74,13 @@ TEST(RodTest, PerfectlyBalanceableReachesIdeal) {
   const InputStreamId i1 = g.AddInputStream("I1");
   const InputStreamId i2 = g.AddInputStream("I2");
   for (int rep = 0; rep < 2; ++rep) {
-    ASSERT_TRUE(g.AddOperator({.name = "a" + std::to_string(rep),
+    const std::string a_name = std::string("a").append(std::to_string(rep));
+    ASSERT_TRUE(g.AddOperator({.name = a_name,
                                .kind = OperatorKind::kMap, .cost = 3.0},
                               {StreamRef::Input(i1)})
                     .ok());
-    ASSERT_TRUE(g.AddOperator({.name = "b" + std::to_string(rep),
+    const std::string b_name = std::string("b").append(std::to_string(rep));
+    ASSERT_TRUE(g.AddOperator({.name = b_name,
                                .kind = OperatorKind::kMap, .cost = 5.0},
                               {StreamRef::Input(i2)})
                     .ok());
@@ -103,7 +105,8 @@ TEST(RodTest, HeterogeneousCapacitiesRespected) {
   QueryGraph g;
   const InputStreamId in = g.AddInputStream("I");
   for (int rep = 0; rep < 4; ++rep) {
-    ASSERT_TRUE(g.AddOperator({.name = "o" + std::to_string(rep),
+    const std::string name = std::string("o").append(std::to_string(rep));
+    ASSERT_TRUE(g.AddOperator({.name = name,
                                .kind = OperatorKind::kMap, .cost = 1.0},
                               {StreamRef::Input(in)})
                     .ok());
@@ -294,7 +297,8 @@ TEST(RodTest, MinMaxWeightTieBreakBalancesAxes) {
   QueryGraph g;
   const InputStreamId in = g.AddInputStream("I");
   for (int rep = 0; rep < 6; ++rep) {
-    ASSERT_TRUE(g.AddOperator({.name = "o" + std::to_string(rep),
+    const std::string name = std::string("o").append(std::to_string(rep));
+    ASSERT_TRUE(g.AddOperator({.name = name,
                                .kind = OperatorKind::kMap, .cost = 1.0},
                               {StreamRef::Input(in)})
                     .ok());

@@ -59,7 +59,8 @@ std::vector<double> RowBounds(const Matrix& weights) {
 /// The scalar verdict the kernel documents itself against: dot products
 /// accumulated in k order as mul-then-add (exactly hyperplane.h's Dot),
 /// every row tested against W x <= 1 + tol.
-size_t ReferenceCount(const Matrix& weights, const Matrix& samples,
+template <typename Samples>
+size_t ReferenceCount(const Matrix& weights, const Samples& samples,
                       size_t begin, size_t end, const double* lower_bound,
                       double scale, double tol) {
   const size_t d = samples.cols();

@@ -62,7 +62,7 @@ TEST(TelemetryTest, DefaultHandlesAreInert) {
 TEST(TelemetryTest, RegistrationBeyondCapacityReturnsInertHandles) {
   Telemetry tel;
   for (int i = 0; i < 300; ++i) {
-    Counter c = tel.counter("c" + std::to_string(i));
+    Counter c = tel.counter(std::string("c").append(std::to_string(i)));
     c.Add(1);  // over-cap handles must be safe no-ops
   }
   const MetricsSnapshot snap = tel.Snapshot();
