@@ -55,6 +55,16 @@ void ExpectLatencies(const SimulationResult& r, double mean, double p50,
   EXPECT_DOUBLE_EQ(r.max_latency, max);
 }
 
+/// Bit-exact pin of one incident phase (EXPECT_EQ, not within 4 ULPs).
+void ExpectPhase(const PhaseLatency& p, size_t outputs, double mean,
+                 double p50, double p95, double p99) {
+  EXPECT_EQ(p.outputs, outputs);
+  EXPECT_EQ(p.mean, mean);
+  EXPECT_EQ(p.p50, p50);
+  EXPECT_EQ(p.p95, p95);
+  EXPECT_EQ(p.p99, p99);
+}
+
 void ExpectUtilization(const SimulationResult& r,
                        const std::vector<double>& per_node) {
   ASSERT_EQ(r.node_utilization.size(), per_node.size());
@@ -182,6 +192,20 @@ TEST(PinnedResultsTest, SupervisedCrash) {
   EXPECT_TRUE(inc.recovered);
   EXPECT_DOUBLE_EQ(inc.recovery_time, 0.0);
   EXPECT_DOUBLE_EQ(inc.post_recovery.p99, 0.0043775194520257778);
+  // The same run, every latency field bit for bit: the phase split and
+  // the run's quantiles come from one end-of-run summary of the series.
+  EXPECT_EQ(r->mean_latency, 0.0024299286362828073);
+  EXPECT_EQ(r->p50_latency, 0.0021438764759484918);
+  EXPECT_EQ(r->p95_latency, 0.0032622834494429372);
+  EXPECT_EQ(r->p99_latency, 0.0040958131590026706);
+  EXPECT_EQ(r->max_latency, 0.0526844898618819);
+  ExpectPhase(inc.pre_failure, 5765, 0.0022811630040413108,
+              0.0021000000000004349, 0.0029221398222895266,
+              0.0033632274338808782);
+  ExpectPhase(inc.during_recovery, 0, 0.0, 0.0, 0.0, 0.0);
+  ExpectPhase(inc.post_recovery, 8419, 0.0025317974888629702,
+              0.0022784881580122374, 0.003458464143128559,
+              0.0043775194520257778);
 }
 
 TEST(PinnedResultsTest, RestartBeforeACancelledCompletion) {
