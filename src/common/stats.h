@@ -88,6 +88,10 @@ class ReservoirSampler {
   /// The retained sample, in an implementation-defined order.
   const std::vector<double>& samples() const { return samples_; }
 
+  /// The retained sample, writable in place (an end-of-run sort may
+  /// reorder it; later Add calls and replacements still see one sample).
+  std::span<double> mutable_samples() { return samples_; }
+
   /// Drops all observations; keeps capacity, seed state, and storage.
   void Clear() {
     samples_.clear();

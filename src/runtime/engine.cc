@@ -4,6 +4,7 @@
 #include <array>
 #include <cassert>
 #include <cmath>
+#include <limits>
 #include <memory>
 #include <span>
 #include <string>
@@ -121,21 +122,14 @@ struct InFlight {
   uint64_t probes = 0;  ///< Join pairings counted at service start.
 };
 
-/// Percentile summary of one incident phase's latency samples; `scratch`
-/// holds the sorted copy (reused across phases, no per-phase vectors).
-PhaseLatency SummarizePhase(std::span<const double> samples,
-                            std::vector<double>& scratch) {
+/// An incident phase's report fields from its latency summary.
+PhaseLatency ToPhaseLatency(const LatencySummary& s) {
   PhaseLatency p;
-  p.outputs = samples.size();
-  if (samples.empty()) return p;
-  scratch.assign(samples.begin(), samples.end());
-  std::sort(scratch.begin(), scratch.end());
-  double sum = 0.0;
-  for (double x : scratch) sum += x;
-  p.mean = sum / static_cast<double>(scratch.size());
-  p.p50 = QuantileOfSorted(scratch, 0.50);
-  p.p95 = QuantileOfSorted(scratch, 0.95);
-  p.p99 = QuantileOfSorted(scratch, 0.99);
+  p.outputs = s.count;
+  p.mean = s.mean;
+  p.p50 = s.p50;
+  p.p95 = s.p95;
+  p.p99 = s.p99;
   return p;
 }
 
@@ -176,7 +170,6 @@ struct EngineWorkspace {
   EventQueue events;
   TupleBatchQueue network;
   std::vector<SimulationResult::OperatorStats> op_stats;
-  std::vector<double> phase_scratch;  ///< SummarizePhase sort buffer.
 };
 
 class WorkspaceLease {
@@ -1127,14 +1120,6 @@ Result<SimulationResult> Simulate(const Deployment& deployment,
   result.shed_tuples = shed_count + ov.shed_directive;
   result.output_tuples = metrics.outputs() + warmup_outputs;
   result.overload = ov;
-  {
-    const LatencySummary total = metrics.TotalLatency();
-    result.mean_latency = total.mean;
-    result.p50_latency = total.p50;
-    result.p95_latency = total.p95;
-    result.p99_latency = total.p99;
-    result.max_latency = total.max;
-  }
   for (const auto& [sink, summary] : metrics.SinkSummaries()) {
     SinkLatency s;
     s.sink_op = sink;
@@ -1165,6 +1150,10 @@ Result<SimulationResult> Simulate(const Deployment& deployment,
       result.overloaded_windows * 2 >= result.total_windows ||
       static_cast<double>(result.final_backlog) > backlog_limit;
 
+  // Cuts of the latency series (exact mode): the crash and the recovery
+  // point. Without a crash the whole run is the first phase.
+  double crash_cut = std::numeric_limits<double>::infinity();
+  double recovery_cut = crash_cut;
   if (have_incident) {
     incident.lost_tuples = incident.lost_queued + incident.lost_inflight +
                            incident.lost_network + incident.rejected_inputs;
@@ -1193,42 +1182,44 @@ Result<SimulationResult> Simulate(const Deployment& deployment,
         break;
       }
     }
-    double recovery_abs = options.duration;
+    crash_cut = incident.crash_time;
+    recovery_cut = options.duration;
     if (recovered_w < num_w) {
       incident.recovered = true;
-      recovery_abs =
+      recovery_cut =
           static_cast<double>(recovered_w) * options.utilization_window;
       incident.recovery_time =
-          std::max(0.0, recovery_abs - incident.crash_time);
+          std::max(0.0, recovery_cut - incident.crash_time);
       for (size_t w = recovered_w; w < num_w; ++w) {
         incident.post_recovery_max_utilization =
             std::max(incident.post_recovery_max_utilization,
                      metrics.WindowMaxBusyFraction(w));
       }
     }
-
-    // Phase latency split by output completion time. Runs with a failure
-    // schedule always retain the full series, and completion times are
-    // nondecreasing (events fire in time order), so the phases are
-    // contiguous spans located by binary search — no per-phase copies.
-    const std::span<const double> lat(metrics.latencies());
-    const auto& times = metrics.output_times();
-    assert(lat.size() == times.size());
-    const size_t crash_idx = static_cast<size_t>(
-        std::lower_bound(times.begin(), times.end(), incident.crash_time) -
-        times.begin());
-    const size_t recov_idx = static_cast<size_t>(
-        std::lower_bound(times.begin() + static_cast<ptrdiff_t>(crash_idx),
-                         times.end(), recovery_abs) -
-        times.begin());
-    incident.pre_failure =
-        SummarizePhase(lat.subspan(0, crash_idx), ws.phase_scratch);
-    incident.during_recovery = SummarizePhase(
-        lat.subspan(crash_idx, recov_idx - crash_idx), ws.phase_scratch);
-    incident.post_recovery =
-        SummarizePhase(lat.subspan(recov_idx), ws.phase_scratch);
-    result.incident = incident;
   }
+
+  // End-to-end latency. A reservoir run selects its quantiles from the
+  // sample. A run with a failure schedule keeps its whole series, which
+  // the collector sorts phase by phase in place (split by completion
+  // time at the cuts above), summarizing each phase and the run from the
+  // sorted phases without copying the series.
+  LatencySummary total;
+  if (metrics.exact()) {
+    const PhasedLatency split =
+        metrics.SummarizePhases(crash_cut, recovery_cut);
+    total = split.total;
+    incident.pre_failure = ToPhaseLatency(split.phases[0]);
+    incident.during_recovery = ToPhaseLatency(split.phases[1]);
+    incident.post_recovery = ToPhaseLatency(split.phases[2]);
+  } else {
+    total = metrics.TotalLatency();
+  }
+  result.mean_latency = total.mean;
+  result.p50_latency = total.p50;
+  result.p95_latency = total.p95;
+  result.p99_latency = total.p99;
+  result.max_latency = total.max;
+  if (have_incident) result.incident = incident;
 
   if (tel != nullptr) {
     tel->Count("engine.runs");

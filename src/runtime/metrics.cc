@@ -1,8 +1,12 @@
 #include "runtime/metrics.h"
 
 #include <algorithm>
+#include <array>
+#include <bit>
 #include <cassert>
 #include <cmath>
+#include <span>
+#include <utility>
 
 #include "common/stats.h"
 
@@ -90,6 +94,138 @@ LatencySummary MetricsCollector::Summarize(
 
 LatencySummary MetricsCollector::TotalLatency() const {
   return Summarize(total_stats_, total_samples_);
+}
+
+void RadixSortNonNegative(std::span<double> values,
+                          std::span<double> buffer) {
+  const size_t n = values.size();
+  assert(buffer.size() >= n);
+  if (n < 2) return;
+  // One pass counts all eight byte digits; a digit every key shares
+  // (the sign and high exponent bits of a series spanning a few
+  // octaves) leaves the order as it is and its pass is skipped.
+  constexpr int kDigits = 8;
+  std::array<std::array<size_t, 256>, kDigits> counts{};
+  for (const double x : values) {
+    const uint64_t key = std::bit_cast<uint64_t>(x);
+    assert(key >> 63 == 0);
+    for (int d = 0; d < kDigits; ++d) ++counts[d][(key >> (8 * d)) & 0xFF];
+  }
+  double* src = values.data();
+  double* dst = buffer.data();
+  for (int d = 0; d < kDigits; ++d) {
+    const int shift = 8 * d;
+    std::array<size_t, 256>& next = counts[d];
+    if (next[(std::bit_cast<uint64_t>(src[0]) >> shift) & 0xFF] == n) continue;
+    size_t offset = 0;
+    for (size_t& c : next) offset += std::exchange(c, offset);
+    for (size_t i = 0; i < n; ++i) {
+      const double x = src[i];
+      dst[next[(std::bit_cast<uint64_t>(x) >> shift) & 0xFF]++] = x;
+    }
+    std::swap(src, dst);
+  }
+  if (src != values.data()) std::copy_n(src, n, values.data());
+}
+
+namespace {
+
+/// Summary of one ascending run, with SummarizePhases's phase arithmetic.
+LatencySummary SummarizeSorted(std::span<const double> sorted) {
+  LatencySummary s;
+  s.count = sorted.size();
+  if (sorted.empty()) return s;
+  double sum = 0.0;
+  for (const double x : sorted) sum += x;
+  s.mean = sum / static_cast<double>(sorted.size());
+  s.max = sorted.back();
+  s.p50 = QuantileOfSorted(sorted, 0.50);
+  s.p95 = QuantileOfSorted(sorted, 0.95);
+  s.p99 = QuantileOfSorted(sorted, 0.99);
+  return s;
+}
+
+using SortedRuns = std::array<std::span<const double>, 3>;
+
+/// The value of rank `k` (0-based) in the union of the ascending `runs`,
+/// which must hold more than k values. That value v lies in some run,
+/// where it is the first element x with more than k values <= x in the
+/// union; that element has at most k values < x in the union. In any
+/// other run the first such element is the first one >= v, and it passes
+/// the second test only when it equals v. Two binary searches deep.
+double ValueOfRank(const SortedRuns& runs, size_t k) {
+  const auto count = [&runs](double x, bool inclusive) {
+    size_t c = 0;
+    for (const auto& run : runs) {
+      c += static_cast<size_t>(
+          (inclusive ? std::upper_bound(run.begin(), run.end(), x)
+                     : std::lower_bound(run.begin(), run.end(), x)) -
+          run.begin());
+    }
+    return c;
+  };
+  for (const auto& run : runs) {
+    const auto it = std::partition_point(
+        run.begin(), run.end(), [&](double x) { return count(x, true) <= k; });
+    if (it != run.end() && count(*it, false) <= k) return *it;
+  }
+  assert(false && "rank out of range");
+  return 0.0;
+}
+
+/// QuantileOfSorted of the union of `runs` (n values, n > 0), with the
+/// same interpolation between the two ranks around q * (n - 1).
+double QuantileOfSortedRuns(const SortedRuns& runs, size_t n, double q) {
+  if (n == 1) return ValueOfRank(runs, 0);
+  const double pos = q * static_cast<double>(n - 1);
+  const size_t lo = static_cast<size_t>(pos);
+  const size_t hi = std::min(lo + 1, n - 1);
+  const double frac = pos - static_cast<double>(lo);
+  const double a = ValueOfRank(runs, lo);
+  const double b = hi == lo ? a : ValueOfRank(runs, hi);
+  return a + frac * (b - a);
+}
+
+}  // namespace
+
+PhasedLatency MetricsCollector::SummarizePhases(double first_cut,
+                                                double second_cut) {
+  assert(exact());
+  const std::span<double> lat = total_samples_.mutable_samples();
+  const std::span<double> times(output_times_);
+  assert(lat.size() == times.size());
+  const size_t n = lat.size();
+  // Cut first, then hand the time column to the sort as its buffer: each
+  // phase sorts into its own slice of it.
+  const auto cut = [&times](size_t from, double t) {
+    return static_cast<size_t>(
+        std::lower_bound(times.begin() + static_cast<ptrdiff_t>(from),
+                         times.end(), t) -
+        times.begin());
+  };
+  const size_t first = cut(0, first_cut);
+  const std::array<size_t, 4> bounds = {0, first, cut(first, second_cut), n};
+  PhasedLatency out;
+  SortedRuns runs;
+  for (size_t p = 0; p < 3; ++p) {
+    const size_t len = bounds[p + 1] - bounds[p];
+    RadixSortNonNegative(lat.subspan(bounds[p], len),
+                         times.subspan(bounds[p], len));
+    runs[p] = lat.subspan(bounds[p], len);
+    out.phases[p] = SummarizeSorted(runs[p]);
+  }
+  output_times_.clear();
+
+  LatencySummary& total = out.total;
+  total.count = total_stats_.count();
+  total.exact = true;
+  if (n == 0) return out;
+  total.mean = total_stats_.mean();
+  total.max = total_stats_.max();
+  total.p50 = QuantileOfSortedRuns(runs, n, 0.50);
+  total.p95 = QuantileOfSortedRuns(runs, n, 0.95);
+  total.p99 = QuantileOfSortedRuns(runs, n, 0.99);
+  return out;
 }
 
 std::vector<std::pair<uint32_t, LatencySummary>>

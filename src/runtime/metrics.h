@@ -11,14 +11,22 @@
 // positive reservoir size, only exact mean/max (Welford) plus a
 // fixed-size deterministic reservoir are kept, making RecordOutput O(1)
 // in memory regardless of output volume — what the engine hot path wants.
+//
+// An exact-mode run ends with one summary, SummarizePhases, which
+// consumes the series: it cuts it into phases by completion time, radix-
+// sorts each phase's latencies in place with the completion-time column
+// as the sort's second buffer, and reads the phases' and the run's
+// percentiles off the sorted runs, without copying the series.
 
 #ifndef ROD_RUNTIME_METRICS_H_
 #define ROD_RUNTIME_METRICS_H_
 
 #include <algorithm>
+#include <array>
 #include <cassert>
 #include <cstddef>
 #include <cstdint>
+#include <span>
 #include <vector>
 
 #include "common/matrix.h"
@@ -48,6 +56,24 @@ struct LatencySummary {
   double p99 = 0.0;
   bool exact = true;  ///< False when percentiles come from a reservoir.
 };
+
+/// An exact-mode run's latencies split into three phases by completion
+/// time, plus the whole run (MetricsCollector::SummarizePhases).
+struct PhasedLatency {
+  /// Outputs completing before the first cut, from it until the second
+  /// cut, and from the second cut on. A phase's mean is the sum of its
+  /// samples in ascending order over their count, and its max is its
+  /// largest sample.
+  std::array<LatencySummary, 3> phases;
+  LatencySummary total;  ///< Bit-identical to TotalLatency().
+};
+
+/// Sorts `values` ascending by an LSD radix sort on their bit patterns,
+/// using `buffer` (at least as long; its contents are overwritten) for
+/// the passes. Requires every value to be >= 0 with its sign bit clear:
+/// the bit pattern of such a double orders as the double does, so the
+/// result equals std::sort's bit for bit, equal keys being equal values.
+void RadixSortNonNegative(std::span<double> values, std::span<double> buffer);
 
 /// Collects measurements during one simulation run.
 class MetricsCollector {
@@ -119,6 +145,16 @@ class MetricsCollector {
 
   /// Summary of all sink outputs (percentiles selected once per call).
   LatencySummary TotalLatency() const;
+
+  /// End-of-run summary of an exact-mode run. Phase 0 holds the outputs
+  /// completing before `first_cut`; phase 1 those from there up to
+  /// `second_cut` (empty when `second_cut` <= `first_cut`); phase 2 the
+  /// rest. Completion times are nondecreasing (the engine records
+  /// outputs in time order), so each phase is a contiguous span of the
+  /// series. Consumes the series: afterwards latencies() holds each
+  /// phase's samples in ascending order and output_times() is empty.
+  /// Every latency must be >= 0 with its sign bit clear.
+  PhasedLatency SummarizePhases(double first_cut, double second_cut);
 
   /// Per-sink summaries, ordered by sink operator id.
   std::vector<std::pair<uint32_t, LatencySummary>> SinkSummaries() const;

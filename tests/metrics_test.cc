@@ -3,12 +3,17 @@
 #include "runtime/metrics.h"
 
 #include <algorithm>
+#include <bit>
+#include <cmath>
+#include <limits>
+#include <span>
 #include <vector>
 
 #include <gtest/gtest.h>
 
 #include "common/random.h"
 #include "common/stats.h"
+#include "phase_oracle.h"
 
 namespace rod::sim {
 namespace {
@@ -113,6 +118,187 @@ TEST(MetricsTest, SelectedPercentilesEqualSortedQuantiles) {
     expect_quantiles(all, m.TotalLatency());
   }
   EXPECT_GT(shared_ranks, 0u);
+}
+
+/// A latency from one of five shapes: few distinct values (ties), zero,
+/// any magnitude from the smallest subnormal up to about 1e3 s, one
+/// fixed value, or a typical millisecond-scale sample.
+double DrawLatency(Rng& rng, int shape) {
+  switch (shape) {
+    case 0:
+      return 1e-3 * static_cast<double>(rng.NextIndex(4));
+    case 1:
+      return 0.0;
+    case 2:
+      return std::ldexp(rng.NextDouble(),
+                        static_cast<int>(rng.UniformInt(-1074, 10)));
+    case 3:
+      return 0.0021;
+    default:
+      return rng.Exponential(400.0);
+  }
+}
+
+TEST(MetricsTest, RadixSortEqualsStdSort) {
+  Rng rng(77);
+  for (int trial = 0; trial < 400; ++trial) {
+    const size_t n = trial < 8 ? static_cast<size_t>(trial)
+                               : rng.NextIndex(2000);
+    const int shape = static_cast<int>(rng.NextIndex(6));
+    std::vector<double> v(n);
+    // Shape 5 mixes every other shape within one series.
+    for (double& x : v) {
+      x = DrawLatency(rng, shape < 5 ? shape
+                                     : static_cast<int>(rng.NextIndex(5)));
+    }
+    std::vector<double> expected = v;
+    std::sort(expected.begin(), expected.end());
+    // A longer buffer than needed, its contents arbitrary.
+    std::vector<double> buffer(n + rng.NextIndex(3), 0.5);
+    RadixSortNonNegative(v, buffer);
+    EXPECT_EQ(v, expected) << "trial " << trial << " n=" << n;
+  }
+}
+
+TEST(MetricsTest, RadixSortHandlesEveryPassParity) {
+  // Keys that differ in one byte only (one pass, the result lands in the
+  // buffer and is copied back), in two bytes (two passes), or in none.
+  const std::vector<double> one_pass = {
+      std::bit_cast<double>(0x3f50000000000003ULL),
+      std::bit_cast<double>(0x3f50000000000001ULL),
+      std::bit_cast<double>(0x3f50000000000002ULL)};
+  const std::vector<double> two_passes = {
+      std::bit_cast<double>(0x3f50000000000201ULL),
+      std::bit_cast<double>(0x3f50000000000102ULL),
+      std::bit_cast<double>(0x3f50000000000101ULL)};
+  for (const std::vector<double>& input :
+       {one_pass, two_passes, std::vector<double>(5, 0.25)}) {
+    std::vector<double> v = input;
+    std::vector<double> buffer(v.size());
+    RadixSortNonNegative(v, buffer);
+    std::vector<double> expected = input;
+    std::sort(expected.begin(), expected.end());
+    EXPECT_EQ(v, expected);
+  }
+}
+
+/// Records (latency, time) pairs, cuts them at (c1, c2) and checks every
+/// phase against the copy-and-sort oracle and the run against
+/// TotalLatency(), bit for bit; then that the series was consumed.
+void ExpectPhasesMatchOracle(const std::vector<double>& lat,
+                             const std::vector<double>& times, double c1,
+                             double c2) {
+  ASSERT_EQ(lat.size(), times.size());
+  MetricsCollector m(1, 1.0, 1e4);
+  for (size_t i = 0; i < lat.size(); ++i) {
+    m.RecordOutput(static_cast<uint32_t>(i % 3), lat[i], times[i]);
+  }
+  const LatencySummary before = m.TotalLatency();
+  const auto first = static_cast<size_t>(
+      std::lower_bound(times.begin(), times.end(), c1) - times.begin());
+  const auto second = static_cast<size_t>(
+      std::lower_bound(times.begin() + static_cast<ptrdiff_t>(first),
+                       times.end(), c2) -
+      times.begin());
+  const std::span<const double> all(lat);
+  const PhaseLatency oracle[3] = {
+      OracleSummarizePhase(all.subspan(0, first)),
+      OracleSummarizePhase(all.subspan(first, second - first)),
+      OracleSummarizePhase(all.subspan(second))};
+
+  const PhasedLatency got = m.SummarizePhases(c1, c2);
+  for (int p = 0; p < 3; ++p) {
+    EXPECT_EQ(got.phases[p].count, oracle[p].outputs) << "phase " << p;
+    EXPECT_EQ(got.phases[p].mean, oracle[p].mean) << "phase " << p;
+    EXPECT_EQ(got.phases[p].p50, oracle[p].p50) << "phase " << p;
+    EXPECT_EQ(got.phases[p].p95, oracle[p].p95) << "phase " << p;
+    EXPECT_EQ(got.phases[p].p99, oracle[p].p99) << "phase " << p;
+  }
+  EXPECT_EQ(got.total.count, before.count);
+  EXPECT_EQ(got.total.exact, before.exact);
+  EXPECT_EQ(got.total.mean, before.mean);
+  EXPECT_EQ(got.total.max, before.max);
+  EXPECT_EQ(got.total.p50, before.p50);
+  EXPECT_EQ(got.total.p95, before.p95);
+  EXPECT_EQ(got.total.p99, before.p99);
+
+  // Consumed: each phase now ascending in place, the time column gone.
+  std::vector<double> expected = lat;
+  const auto b = expected.begin();
+  std::sort(b, b + static_cast<ptrdiff_t>(first));
+  std::sort(b + static_cast<ptrdiff_t>(first),
+            b + static_cast<ptrdiff_t>(second));
+  std::sort(b + static_cast<ptrdiff_t>(second), expected.end());
+  EXPECT_EQ(m.latencies(), expected);
+  EXPECT_TRUE(m.output_times().empty());
+}
+
+TEST(MetricsTest, PhasedSummaryEqualsSortedCopyOracle) {
+  // Random series: nondecreasing completion times with runs of equal
+  // instants (a batch of deliveries completes together), latencies of
+  // every DrawLatency shape, and cuts at a recorded instant, between two,
+  // before the first or after the last output.
+  Rng rng(4242);
+  const double inf = std::numeric_limits<double>::infinity();
+  for (int trial = 0; trial < 500; ++trial) {
+    const size_t n = rng.NextIndex(trial % 10 == 0 ? 5 : 400);
+    const int shape = static_cast<int>(rng.NextIndex(6));
+    std::vector<double> lat(n), times(n);
+    double t = rng.Uniform(0.0, 1.0);
+    for (size_t i = 0; i < n; ++i) {
+      lat[i] = DrawLatency(rng, shape < 5 ? shape
+                                          : static_cast<int>(rng.NextIndex(5)));
+      if (!rng.Bernoulli(0.3)) t += rng.Exponential(50.0);
+      times[i] = t;
+    }
+    const auto pick_cut = [&]() {
+      switch (rng.NextIndex(4)) {
+        case 0:
+          return n > 0 ? times[rng.NextIndex(n)] : 1.0;
+        case 1:
+          return -1.0;
+        case 2:
+          return t + 1.0;
+        default:
+          return rng.Uniform(0.0, t + 0.5);
+      }
+    };
+    double c1 = pick_cut();
+    double c2 = rng.Bernoulli(0.1) ? inf : pick_cut();
+    if (rng.Bernoulli(0.8) && c2 < c1) std::swap(c1, c2);
+    SCOPED_TRACE(testing::Message() << "trial " << trial << " n=" << n);
+    ExpectPhasesMatchOracle(lat, times, c1, c2);
+  }
+}
+
+TEST(MetricsTest, PhasedSummaryEdgeCases) {
+  const double inf = std::numeric_limits<double>::infinity();
+  const std::vector<double> lat = {0.004, 0.001, 0.003, 0.001, 0.002,
+                                   0.0,   0.005, 0.002, 0.003, 0.004};
+  const std::vector<double> times = {1, 2, 2, 3, 4, 4, 5, 6, 7, 8};
+  // Phases of 0, 1 and 2 samples, in each position.
+  ExpectPhasesMatchOracle(lat, times, 1.0, 2.0);   // 0, 1, 9
+  ExpectPhasesMatchOracle(lat, times, 2.0, 3.0);   // 1, 2, 7
+  ExpectPhasesMatchOracle(lat, times, 7.5, 8.0);   // 9, 0, 1
+  ExpectPhasesMatchOracle(lat, times, 6.5, inf);   // 8, 2, 0
+  ExpectPhasesMatchOracle(lat, times, 4.0, 4.0);   // 4, 0, 6
+  // A crash before the first output; a run that never recovers (the
+  // recovery cut at the horizon, after every output); no crash.
+  ExpectPhasesMatchOracle(lat, times, 0.5, 3.5);
+  ExpectPhasesMatchOracle(lat, times, 5.0, 20.0);
+  ExpectPhasesMatchOracle(lat, times, inf, inf);
+  // A recovery point before the crash (recovery_time clamps to 0).
+  ExpectPhasesMatchOracle(lat, times, 5.0, 3.0);
+  // All equal; all zero; subnormals beside 1e3 s; one and two samples;
+  // an empty series.
+  ExpectPhasesMatchOracle(std::vector<double>(10, 0.0021), times, 3.0, 6.0);
+  ExpectPhasesMatchOracle(std::vector<double>(10, 0.0), times, 3.0, 6.0);
+  ExpectPhasesMatchOracle({5e-324, 1e3, 2.2e-308, 0.0, 1e-310, 999.5, 1e-3,
+                           5e-324, 1e3, 7e-320},
+                          times, 3.0, 6.0);
+  ExpectPhasesMatchOracle({0.003}, {1.0}, 0.5, 2.0);
+  ExpectPhasesMatchOracle({0.003, 0.001}, {1.0, 1.0}, 0.5, 2.0);
+  ExpectPhasesMatchOracle({}, {}, 1.0, 2.0);
 }
 
 TEST(MetricsTest, ReservoirModeKeepsExactMeanMaxAndCounts) {
