@@ -2,7 +2,6 @@
 
 #include <algorithm>
 #include <cassert>
-#include <limits>
 #include <unordered_map>
 
 namespace rod::sim {
@@ -108,51 +107,27 @@ Task SimNode::EvictNthTuple(size_t i) {
   return Task{};
 }
 
-double SimNode::CheapestQueuedWeight() const {
-  double min_w = std::numeric_limits<double>::infinity();
+SimNode::CheapestTuple SimNode::FindCheapestTuple() {
+  CheapestTuple best;
   if (scheduling_ == Scheduling::kFifo) {
-    for (const Task& t : fifo_) {
-      if (t.op != Task::kCommTask) min_w = std::min(min_w, DropWeightOf(t.op));
-    }
-    return min_w;
-  }
-  for (size_t op = 0; op < per_op_.size(); ++op) {
-    if (!per_op_[op].empty()) {
-      min_w = std::min(min_w, DropWeightOf(static_cast<uint32_t>(op)));
-    }
-  }
-  return min_w;
-}
-
-Task SimNode::EvictCheapestTuple() {
-  assert(queued_tuples_ > 0);
-  if (scheduling_ == Scheduling::kFifo) {
-    size_t best = fifo_.size();
-    double best_w = std::numeric_limits<double>::infinity();
     for (size_t i = 0; i < fifo_.size(); ++i) {
       const Task& t = fifo_.at(i);
       if (t.op == Task::kCommTask) continue;
       const double w = DropWeightOf(t.op);
-      if (w < best_w) {  // strict: ties keep the first (oldest) candidate
-        best_w = w;
-        best = i;
+      if (w < best.weight) {  // strict: ties keep the first (oldest) tuple
+        best = {&fifo_, Task::kCommTask, i, w};
       }
     }
-    assert(best < fifo_.size());
-    return RemoveFromBucket(fifo_, Task::kCommTask, best);
+    return best;
   }
-  size_t best = per_op_.size();
-  double best_w = std::numeric_limits<double>::infinity();
   for (size_t op = 0; op < per_op_.size(); ++op) {
     if (per_op_[op].empty()) continue;
     const double w = DropWeightOf(static_cast<uint32_t>(op));
-    if (w < best_w) {
-      best_w = w;
-      best = op;
+    if (w < best.weight) {
+      best = {&per_op_[op], static_cast<uint32_t>(op), 0, w};
     }
   }
-  assert(best < per_op_.size());
-  return RemoveFromBucket(per_op_[best], static_cast<uint32_t>(best), 0);
+  return best;
 }
 
 SimNode::EnqueueOutcome SimNode::EnqueueBounded(const Task& task, Rng& rng) {
@@ -185,12 +160,16 @@ SimNode::EnqueueOutcome SimNode::EnqueueBounded(const Task& task, Rng& rng) {
     case OverflowPolicy::kQosWeighted: {
       // Semantic shed: the least valuable tuple goes. Ties favour the
       // queued tuples (reject the arrival), which keeps the policy
-      // work-conserving for uniform weights.
-      if (DropWeightOf(task.op) <= CheapestQueuedWeight()) {
+      // work-conserving for uniform weights. One scan finds the victim
+      // and its weight.
+      const CheapestTuple cheapest = FindCheapestTuple();
+      if (cheapest.bucket == nullptr ||
+          DropWeightOf(task.op) <= cheapest.weight) {
         out.accepted = false;
         return out;
       }
-      out.victim = EvictCheapestTuple();
+      out.victim =
+          RemoveFromBucket(*cheapest.bucket, cheapest.op, cheapest.index);
       out.evicted = true;
       break;
     }

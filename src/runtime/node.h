@@ -20,6 +20,7 @@
 #include <cstddef>
 #include <cstdint>
 #include <functional>
+#include <limits>
 #include <utility>
 #include <vector>
 
@@ -199,12 +200,19 @@ class SimNode {
   /// bucket order). Requires i < queued_tuples_.
   Task EvictNthTuple(size_t i);
 
-  /// Removes the front tuple of the lowest drop-weight non-empty bucket
-  /// (FIFO: the oldest minimum-weight tuple). Requires queued_tuples_ > 0.
-  Task EvictCheapestTuple();
+  /// A queued tuple's position and drop weight.
+  struct CheapestTuple {
+    FifoBuffer<Task>* bucket = nullptr;  ///< Null: no tuple qualifies.
+    uint32_t op = Task::kCommTask;       ///< The bucket's round-robin id.
+    size_t index = 0;                    ///< Position in `bucket`.
+    double weight = std::numeric_limits<double>::infinity();
+  };
 
-  /// Smallest drop weight among the queued tuples (+inf when none).
-  double CheapestQueuedWeight() const;
+  /// The first queued tuple of least drop weight, in one scan: FIFO in
+  /// queue order (the oldest such tuple), round-robin the front of the
+  /// lowest-id bucket of least weight. Weights must be below +inf to
+  /// qualify.
+  CheapestTuple FindCheapestTuple();
 
   /// Removes the i-th live element of `bucket`, maintaining queue/rr
   /// bookkeeping. `op` identifies the bucket under round-robin.
