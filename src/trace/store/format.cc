@@ -36,29 +36,49 @@ double LoadF64(const std::byte* p) {
   return v;
 }
 
-/// CRC-32 lookup table, generated once (thread-safe since C++11 statics).
-const std::array<uint32_t, 256>& CrcTable() {
-  static const std::array<uint32_t, 256> table = [] {
-    std::array<uint32_t, 256> t{};
+/// CRC-32 lookup tables for slicing by 8, generated once (thread-safe
+/// since C++11 statics). Row 0 is the byte-wise table of the reflected
+/// polynomial; row k carries a byte's remainder through k more zero
+/// bytes, so one step can look up eight bytes independently.
+const std::array<std::array<uint32_t, 256>, 8>& CrcTables() {
+  static const std::array<std::array<uint32_t, 256>, 8> tables = [] {
+    std::array<std::array<uint32_t, 256>, 8> t{};
     for (uint32_t i = 0; i < 256; ++i) {
       uint32_t c = i;
       for (int k = 0; k < 8; ++k) {
         c = (c & 1u) ? 0xEDB88320u ^ (c >> 1) : c >> 1;
       }
-      t[i] = c;
+      t[0][i] = c;
+    }
+    for (size_t k = 1; k < t.size(); ++k) {
+      for (uint32_t i = 0; i < 256; ++i) {
+        t[k][i] = (t[k - 1][i] >> 8) ^ t[0][t[k - 1][i] & 0xFFu];
+      }
     }
     return t;
   }();
-  return table;
+  return tables;
 }
 
 }  // namespace
 
 uint32_t Crc32(std::span<const std::byte> bytes, uint32_t seed) {
-  const auto& table = CrcTable();
+  const auto& t = CrcTables();
   uint32_t c = seed ^ 0xFFFFFFFFu;
-  for (std::byte b : bytes) {
-    c = table[(c ^ static_cast<uint8_t>(b)) & 0xFFu] ^ (c >> 8);
+  const std::byte* p = bytes.data();
+  size_t n = bytes.size();
+  // Eight bytes a step: the remainder folds into the first four (read
+  // little-endian), and each byte is looked up in the row for the number
+  // of bytes that follow it within the step.
+  for (; n >= 8; p += 8, n -= 8) {
+    const uint32_t lo = LoadU32(p) ^ c;
+    const uint32_t hi = LoadU32(p + 4);
+    c = t[7][lo & 0xFFu] ^ t[6][(lo >> 8) & 0xFFu] ^
+        t[5][(lo >> 16) & 0xFFu] ^ t[4][lo >> 24] ^ t[3][hi & 0xFFu] ^
+        t[2][(hi >> 8) & 0xFFu] ^ t[1][(hi >> 16) & 0xFFu] ^ t[0][hi >> 24];
+  }
+  for (; n > 0; ++p, --n) {
+    c = t[0][(c ^ static_cast<uint8_t>(*p)) & 0xFFu] ^ (c >> 8);
   }
   return c ^ 0xFFFFFFFFu;
 }

@@ -14,6 +14,7 @@
 #include <string>
 #include <vector>
 
+#include "common/random.h"
 #include "runtime/chaos.h"
 #include "runtime/engine.h"
 #include "runtime/workload_driver.h"
@@ -69,6 +70,40 @@ TEST(TraceStoreFormatTest, Crc32MatchesKnownVector) {
   EXPECT_EQ(Crc32(bytes), 0xCBF43926u);
   // Chaining: CRC(a+b) == CRC(b, seed=CRC(a)).
   EXPECT_EQ(Crc32(bytes.subspan(4), Crc32(bytes.first(4))), 0xCBF43926u);
+}
+
+/// The byte-at-a-time CRC-32 (reflected 0xEDB88320), bit by bit.
+uint32_t BytewiseCrc32(std::span<const std::byte> bytes, uint32_t seed) {
+  uint32_t c = seed ^ 0xFFFFFFFFu;
+  for (std::byte b : bytes) {
+    c ^= static_cast<uint8_t>(b);
+    for (int k = 0; k < 8; ++k) {
+      c = (c & 1u) ? 0xEDB88320u ^ (c >> 1) : c >> 1;
+    }
+  }
+  return c ^ 0xFFFFFFFFu;
+}
+
+TEST(TraceStoreFormatTest, Crc32EqualsBytewiseLoop) {
+  // Lengths 0-4 KiB at every offset modulo 8 (the eight-byte steps read
+  // unaligned words), with random seeds and split points chaining one
+  // CRC into the next.
+  Rng rng(0xc3c32);
+  std::vector<std::byte> buf(4096 + 16);
+  for (std::byte& b : buf) b = static_cast<std::byte>(rng.NextIndex(256));
+  for (int trial = 0; trial < 600; ++trial) {
+    const size_t len = trial < 24 ? static_cast<size_t>(trial)
+                                  : rng.NextIndex(4097);
+    const size_t offset = static_cast<size_t>(trial) % 8;
+    const auto bytes = std::span<const std::byte>(buf).subspan(offset, len);
+    const auto seed = static_cast<uint32_t>(rng.NextU64());
+    EXPECT_EQ(Crc32(bytes, seed), BytewiseCrc32(bytes, seed))
+        << "len " << len << " offset " << offset;
+    const size_t split = rng.NextIndex(len + 1);
+    EXPECT_EQ(Crc32(bytes.subspan(split), Crc32(bytes.first(split))),
+              BytewiseCrc32(bytes, 0))
+        << "len " << len << " split " << split;
+  }
 }
 
 TEST(TraceStoreFormatTest, FileHeaderRoundTrips) {
