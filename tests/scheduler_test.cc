@@ -68,6 +68,41 @@ TEST(SimNodeTest, RoundRobinHandlesArrivalDuringService) {
   EXPECT_EQ(node.StartService().op, 1u);
 }
 
+TEST(SimNodeTest, QosWeightedOverflowPicksTheFirstCheapestTuple) {
+  // Drop weights by operator: 0 and 2 weigh 1, 1 weighs 2. At capacity,
+  // an arrival that weighs no more than the cheapest queued tuple is
+  // rejected; a heavier one evicts the first cheapest tuple: FIFO, the
+  // oldest; round-robin, the front of the lowest-id cheapest bucket.
+  const double weights[] = {1.0, 2.0, 1.0};
+  const QueueBound bound{.capacity = 4,
+                         .policy = OverflowPolicy::kQosWeighted};
+  Rng rng(1);
+  for (const Scheduling scheduling :
+       {Scheduling::kFifo, Scheduling::kRoundRobin}) {
+    SimNode node(1.0, scheduling);
+    node.ConfigureOverflow(bound, weights, 3);
+    node.Enqueue(MakeTask(1, 1.0));
+    node.Enqueue(MakeTask(2, 2.0));
+    node.Enqueue(MakeTask(Task::kCommTask, 3.0));  // Never a victim.
+    node.Enqueue(MakeTask(0, 4.0));
+    node.Enqueue(MakeTask(2, 5.0));
+    ASSERT_EQ(node.tuple_queue_length(), 4u);
+
+    const SimNode::EnqueueOutcome tie = node.EnqueueBounded(MakeTask(0), rng);
+    EXPECT_FALSE(tie.accepted);
+    EXPECT_FALSE(tie.evicted);
+
+    const SimNode::EnqueueOutcome heavy =
+        node.EnqueueBounded(MakeTask(1, 6.0), rng);
+    EXPECT_TRUE(heavy.accepted);
+    ASSERT_TRUE(heavy.evicted);
+    const bool fifo = scheduling == Scheduling::kFifo;
+    EXPECT_EQ(heavy.victim.op, fifo ? 2u : 0u);
+    EXPECT_DOUBLE_EQ(heavy.victim.origin, fifo ? 2.0 : 4.0);
+    EXPECT_EQ(node.tuple_queue_length(), 4u);
+  }
+}
+
 TEST(SimNodeTest, BusyBlocksStart) {
   SimNode node(2.0);
   node.Enqueue(MakeTask(0));
