@@ -10,7 +10,6 @@
 #include <string>
 #include <utility>
 
-#include "common/stats.h"
 #include "runtime/event_queue.h"
 #include "runtime/metrics.h"
 #include "runtime/node.h"

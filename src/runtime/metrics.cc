@@ -130,7 +130,8 @@ void RadixSortNonNegative(std::span<double> values,
 
 namespace {
 
-/// Summary of one ascending run, with SummarizePhases's phase arithmetic.
+/// Summary of one ascending run: the mean of its ascending-order sum, its
+/// last value as the max, percentiles by QuantileOfSorted.
 LatencySummary SummarizeSorted(std::span<const double> sorted) {
   LatencySummary s;
   s.count = sorted.size();
