@@ -88,8 +88,8 @@ class ReservoirSampler {
   /// The retained sample, in an implementation-defined order.
   const std::vector<double>& samples() const { return samples_; }
 
-  /// The retained sample, writable in place (an end-of-run sort may
-  /// reorder it; later Add calls and replacements still see one sample).
+  /// The retained sample, writable (an end-of-run summary sorts it in
+  /// place).
   std::span<double> mutable_samples() { return samples_; }
 
   /// Drops all observations; keeps capacity, seed state, and storage.

@@ -152,8 +152,6 @@ def main():
     parser.add_argument("files", nargs="+", help="rod_sampler.<pid>.out")
     parser.add_argument("--top", type=int, default=30,
                         help="functions to list (default 30)")
-    parser.add_argument("--width", type=int, default=110,
-                        help="longest function name printed (default 110)")
     parser.add_argument("--root", default=ROOT,
                         help="source tree whose frames are charged "
                              "(default: this repository)")
@@ -187,8 +185,7 @@ def main():
     print("%7s %8s  %s" % ("share", "samples", "function"))
     listed = per_function.most_common(args.top)
     for function, n in listed:
-        print("%6.1f%% %8d  %s" % (100.0 * n / total, n,
-                                   function[:args.width]))
+        print("%6.1f%% %8d  %s" % (100.0 * n / total, n, function))
     rest = total - sum(n for _, n in listed)
     if rest > 0:
         print("%6.1f%% %8d  (%d more functions)" %
