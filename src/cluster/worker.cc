@@ -192,6 +192,8 @@ Status Worker::EventLoop() {
       if (now >= next_heartbeat_) {
         SendHeartbeat(now);
         next_heartbeat_ = now + heartbeat_interval_;
+        // Like the heartbeat's, a failed send surfaces on the control read.
+        if (owed_report_ && owed_report_->resumed) (void)SendFrozenReport();
       }
     }
   }
@@ -243,10 +245,12 @@ Status Worker::HandleControlFrame(const Frame& frame) {
       FlushPausedBuffers();
       telemetry_.Count("cluster.resumes", 1);
       telemetry_.RecordInstant("cluster", "resume");
+      if (owed_report_) owed_report_->resumed = true;
       return Status::OK();
     }
     case MsgType::kFinish: {
       generating_ = false;
+      if (owed_report_) ROD_RETURN_IF_ERROR(SendFrozenReport());
       return control_.Send(MsgType::kFinalStats, TakeStatsDelta().Encode());
     }
     case MsgType::kPing: {
@@ -270,7 +274,8 @@ Status Worker::HandleControlFrame(const Frame& frame) {
     case MsgType::kFreeze: {
       auto freeze = FreezeMsg::Decode(frame.payload);
       if (!freeze.ok()) return freeze.status();
-      return HandleFreeze(*freeze);
+      HandleFreeze(*freeze);
+      return Status::OK();
     }
     default:
       return Status::InvalidArgument(
@@ -584,33 +589,37 @@ void Worker::InstallClockSync(const ClockSyncMsg& sync) {
   telemetry_.Count("cluster.clock_syncs", 1);
 }
 
-Status Worker::HandleFreeze(const FreezeMsg& freeze) {
+void Worker::HandleFreeze(const FreezeMsg& freeze) {
   ROD_TRACE_SPAN(&telemetry_, "cluster", "freeze.snapshot");
   // Freeze the rings at (approximately) the coordinator-chosen instant;
-  // the snapshot happens inside BeginIncident, so the report below can
-  // take its time.
+  // the snapshot happens inside BeginIncident. The kPause right behind
+  // this freeze is read next: rendering the report waits for the repair.
   flight_recorder_.BeginIncident(freeze.kind, freeze.detail);
   flight_recorder_.Note("freeze ordered by coordinator (incident " +
                         std::to_string(freeze.incident_id) + ")");
-  const uint32_t id = worker_id_;
-  const uint64_t version = plan_version_;
-  const double uptime = Now();
-  const size_t queued = paused_buffers_.size();
+  telemetry_.Count("cluster.freezes", 1);
+  owed_report_ = OwedReport{freeze.incident_id, plan_version_, Now(),
+                            paused_buffers_.size()};
+}
+
+Status Worker::SendFrozenReport() {
+  ROD_TRACE_SPAN(&telemetry_, "cluster", "freeze.report");
+  const OwedReport owed = *owed_report_;
+  owed_report_.reset();
   flight_recorder_.CompleteIncident([&](telemetry::JsonWriter& w) {
     w.BeginObjectInline();
-    w.Key("worker_id").Uint(id);
+    w.Key("worker_id").Uint(worker_id_);
     w.Key("name").String(options_.name);
-    w.Key("plan_version").Uint(version);
-    w.Key("uptime_seconds").Double(uptime);
-    w.Key("queue_depth").Uint(queued);
+    w.Key("plan_version").Uint(owed.plan_version);
+    w.Key("uptime_seconds").Double(owed.uptime);
+    w.Key("queue_depth").Uint(owed.queue_depth);
     w.EndObject();
   });
-  telemetry_.Count("cluster.freezes", 1);
 
   const std::vector<std::string> incidents = flight_recorder_.IncidentJsons();
   if (incidents.empty()) return Status::OK();
   FrozenReportMsg reply;
-  reply.incident_id = freeze.incident_id;
+  reply.incident_id = owed.incident_id;
   reply.worker_id = worker_id_;
   reply.incident_json = incidents.back();
   // The wire string cap bounds one field at 1 MiB; a trace-heavy

@@ -24,6 +24,7 @@
 #include <atomic>
 #include <cstdint>
 #include <map>
+#include <optional>
 #include <string>
 #include <vector>
 
@@ -103,6 +104,16 @@ class Worker {
     double create_time = 0.0;
   };
 
+  /// A freeze whose report is owed, with the report's fields as of the
+  /// freeze.
+  struct OwedReport {
+    uint64_t incident_id = 0;
+    uint64_t plan_version = 0;
+    double uptime = 0.0;
+    size_t queue_depth = 0;
+    bool resumed = false;  ///< kResume seen: send at the next tick.
+  };
+
   /// A peer worker's data-plane connection state.
   struct Peer {
     FrameConn conn;
@@ -139,8 +150,14 @@ class Worker {
   /// coordinator's federated plane (kStatsReport / kFinalStats).
   StatsReportMsg TakeStatsDelta();
   /// Freezes the flight recorder at the coordinator-ordered instant and
-  /// replies with the rendered incident (kFrozenReport).
-  Status HandleFreeze(const FreezeMsg& freeze);
+  /// keeps the report's fields as of that instant. The report is owed
+  /// until SendFrozenReport, so the repair that follows the freeze does
+  /// not wait on its rendering.
+  void HandleFreeze(const FreezeMsg& freeze);
+  /// Renders the owed incident and sends it (kFrozenReport): at the first
+  /// heartbeat tick after kResume, or ahead of kFinalStats when kFinish
+  /// comes first.
+  Status SendFrozenReport();
   void InstallClockSync(const ClockSyncMsg& sync);
   void DumpTrace() const;
   void StartHttpPlane();
@@ -202,6 +219,9 @@ class Worker {
   std::atomic<bool> ready_{false};  ///< Plan installed (gates /readyz).
   telemetry::Telemetry telemetry_;
   telemetry::FlightRecorder flight_recorder_{&telemetry_};
+  /// Event-loop thread only. A second freeze before the report replaces
+  /// the first (the flight recorder counts the first abandoned).
+  std::optional<OwedReport> owed_report_;
   telemetry::HttpServer http_;
   uint16_t http_port_ = 0;
   FrameMetrics frame_metrics_{&telemetry_};
