@@ -181,7 +181,11 @@ struct ClusterReport {
   IncidentPhases phases;
 
   /// Workers whose frozen flight-recorder snapshots (kFrozenReport)
-  /// arrived before the end of the run.
+  /// arrived before the end of the run. A survivor snapshots at kFreeze
+  /// but reports after the repair: at its first heartbeat after kResume,
+  /// or before kFinalStats if kFinish comes first. Each snapshot's
+  /// `end_us` is its render time, and a survivor lost mid-repair
+  /// delivers no report.
   std::vector<uint32_t> frozen_workers;
 
   bool had_incident = false;
